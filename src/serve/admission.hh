@@ -38,10 +38,11 @@
  *    pathological client's flood into `client-capped` sheds that
  *    leave its neighbors' latency intact.
  *
- * Threading: the controller is NOT internally synchronized. The
- * in-process `Server` calls it under its queue mutex; the
- * `Supervisor` keeps one controller per shard under its own `mu_`.
- * Admission is two-phase — `decide()` (read-only, produces the shed
+ * Threading: the controller is NOT internally synchronized. The serve
+ * front (serve/front.hh) owns one controller per shard — one for the
+ * in-process backend, one per worker process for the sharded one —
+ * and calls them only under its `mu_`; it also publishes the summed
+ * per-class depth gauges. Admission is two-phase — `decide()` (read-only, produces the shed
  * response fields) then `enqueue()` on admit — so callers can assign
  * sequence numbers and journal *after* the decision.
  */
@@ -83,9 +84,9 @@ struct AdmissionOptions
     size_t perClientCap = 0;
 
     /** Count popped-but-unfinished work against queueCapacity. The
-     *  Server bounds only the queue (workers are bounded by the
-     *  thread pool); the Supervisor bounds queued + in-flight per
-     *  worker, matching the old backlog check. */
+     *  in-process backend bounds only the queue (its thread pool
+     *  bounds in-flight work); the sharded one bounds queued +
+     *  in-flight per worker. */
     bool countInflight = false;
 
     /** Base / floor for retry_after_ms hints when the drain rate is
@@ -99,11 +100,6 @@ struct AdmissionOptions
     /** Class weights for the credit scheduler. */
     int interactiveShare = 4;
     int batchShare = 1;
-
-    /** Publish per-class depth gauges on every queue change. The
-     *  Supervisor runs one controller per shard and publishes summed
-     *  gauges itself, so its controllers set this false. */
-    bool publishGauges = true;
 };
 
 /** One shed/admit verdict, with everything the response needs. */
@@ -170,8 +166,8 @@ class AdmissionController
      *  finish paths must not leak idle records under client churn). */
     size_t clientRecords() const;
 
-    /** Observed service-time feed (Server/Supervisor call this with
-     *  measured per-request service time). */
+    /** Observed service-time feed (backends call this with measured
+     *  per-request service time). */
     void recordService(int64_t serviceUs);
 
     /** Current smoothed inter-finish gap (µs; 0 = no signal yet). */
@@ -211,7 +207,6 @@ class AdmissionController
 
     size_t clientLoad(const std::string &client) const;
     int64_t honestRetryAfterMs(int64_t nowUs) const;
-    void publishDepthGauges() const;
     /** Drop expired heads / the CoDel-aged oldest entry. */
     void dropStale(int64_t nowUs, std::vector<AdmissionDrop> &dropped);
     uint64_t popClass(ClassState &cls, int64_t nowUs);

@@ -1,7 +1,6 @@
 #include "serve/breaker.hh"
 
-#include <chrono>
-
+#include "serve/front.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -9,14 +8,6 @@ namespace memoria {
 namespace serve {
 
 namespace {
-
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Attribute a failure detail string to a stage by its dotted prefix
  *  conventions (Diag codes and fault-site names share them). */

@@ -98,11 +98,11 @@ struct Conn
     std::atomic<bool> alive{true};
 };
 
-/** Feed a line-delimited stream to the service. Returns on EOF, read
+/** Feed a line-delimited stream to the front. Returns on EOF, read
  *  error, or drain request. `clientKey` is the fair-share fallback
  *  for requests that carry no client_id of their own. */
 void
-pumpLines(LineService &service, int fd,
+pumpLines(Front &front, int fd,
           const std::function<void(const std::string &)> &respond,
           const std::string &clientKey = "")
 {
@@ -124,12 +124,12 @@ pumpLines(LineService &service, int fd,
         while ((pos = buffer.find('\n')) != std::string::npos) {
             std::string line = buffer.substr(0, pos);
             buffer.erase(0, pos + 1);
-            service.handleLine(line, respond, clientKey);
+            front.handleLine(line, respond, clientKey);
         }
     }
     // A final unterminated line is still a request.
     if (!buffer.empty())
-        service.handleLine(buffer, respond, clientKey);
+        front.handleLine(buffer, respond, clientKey);
 }
 
 int
@@ -229,7 +229,7 @@ serveMetricsConn(int fd)
 } // namespace
 
 int
-runStdio(LineService &service)
+runStdio(Front &front)
 {
     // A client that closes its end mid-response must not kill the
     // process; the failed write is counted, not fatal.
@@ -240,14 +240,14 @@ runStdio(LineService &service)
         std::cout << line << "\n";
         std::cout.flush();
     };
-    service.start();
-    pumpLines(service, STDIN_FILENO, respond, "stdio");
-    service.drain();
+    front.start();
+    pumpLines(front, STDIN_FILENO, respond, "stdio");
+    front.drain();
     return 0;
 }
 
 int
-runWorkerFd(LineService &service, int fd)
+runWorkerFd(Front &front, int fd)
 {
     // The supervisor is the only peer; a response racing its death
     // must not kill the worker before the reaper classifies it.
@@ -257,17 +257,17 @@ runWorkerFd(LineService &service, int fd)
         std::lock_guard<std::mutex> lock(outMutex);
         writeAll(fd, line + "\n");
     };
-    service.start();
-    pumpLines(service, fd, respond);
+    front.start();
+    pumpLines(front, fd, respond);
     // EOF is the supervisor's shutdown handshake: finish in-flight
     // work, flush, exit 0 so the reaper sees a clean exit.
-    service.drain();
+    front.drain();
     ::close(fd);
     return 0;
 }
 
 int
-runListener(LineService &service, const TransportOptions &topts)
+runListener(Front &front, const TransportOptions &topts)
 {
     // A response racing a disconnect must not kill the process.
     ::signal(SIGPIPE, SIG_IGN);
@@ -319,7 +319,7 @@ runListener(LineService &service, const TransportOptions &topts)
         }
     }
 
-    service.start();
+    front.start();
 
     std::mutex connsMutex;
     std::vector<std::weak_ptr<Conn>> conns;
@@ -357,8 +357,8 @@ runListener(LineService &service, const TransportOptions &topts)
                 "conn:" + std::to_string(++connSeq);
             std::lock_guard<std::mutex> lock(connsMutex);
             conns.push_back(conn);
-            readers.emplace_back([&service, conn, clientKey] {
-                pumpLines(service, conn->fd,
+            readers.emplace_back([&front, conn, clientKey] {
+                pumpLines(front, conn->fd,
                           [conn](const std::string &line) {
                               conn->send(line);
                           },
@@ -372,7 +372,7 @@ runListener(LineService &service, const TransportOptions &topts)
 
     // Drain first so every accepted request's response is written
     // while the connections are still alive, then wake the readers.
-    service.drain();
+    front.drain();
     {
         std::lock_guard<std::mutex> lock(connsMutex);
         for (std::weak_ptr<Conn> &w : conns)

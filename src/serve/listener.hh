@@ -3,9 +3,10 @@
  * Transports for the compile service: stdin/stdout and socket
  * listeners.
  *
- * Both transports share the same contract with serve/server.hh — read
- * newline-delimited request lines, hand each to `Server::handleLine`
- * with a thread-safe respond callback, and on SIGTERM/SIGINT
+ * Both transports share the same contract with the serve front
+ * (serve/front.hh) — read newline-delimited request lines, hand each to
+ * `Front::handleLine` with a thread-safe respond callback, and on
+ * SIGTERM/SIGINT
  * (`signals::drainRequested()`) stop reading, drain the server, and
  * return 0. The signal handlers are installed in *drain mode* (no
  * SA_RESTART), so a blocking read()/accept() wakes with EINTR instead
@@ -25,7 +26,7 @@
 
 #include <string>
 
-#include "serve/server.hh"
+#include "serve/front.hh"
 
 namespace memoria {
 namespace serve {
@@ -56,16 +57,16 @@ struct TransportOptions
 /**
  * Blocking stdin/stdout loop: one request per line in, one response
  * per line out. Returns the process exit code (0 on EOF or a clean
- * signal-initiated drain). Serves either a single-process `Server` or
- * a `Supervisor` — anything speaking `LineService`.
+ * signal-initiated drain). Serves either backend of the front: the
+ * single-process `Server` or the sharded `Supervisor`.
  */
-int runStdio(LineService &service);
+int runStdio(Front &front);
 
 /**
  * Blocking socket accept loop for the enabled socket transports.
  * Returns the process exit code (0 on a clean drain).
  */
-int runListener(LineService &service, const TransportOptions &topts);
+int runListener(Front &front, const TransportOptions &topts);
 
 /**
  * Shard-worker mode (`memoria serve --worker-fd N`): speak the
@@ -73,7 +74,7 @@ int runListener(LineService &service, const TransportOptions &topts);
  * listener. Returns 0 on EOF (the supervisor closed the pipe — the
  * drain handshake) or a drain signal.
  */
-int runWorkerFd(LineService &service, int fd);
+int runWorkerFd(Front &front, int fd);
 
 } // namespace serve
 } // namespace memoria

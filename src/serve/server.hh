@@ -1,61 +1,44 @@
 /**
  * @file
- * The long-running compile service behind `memoria serve`.
+ * The in-process backend of the compile service behind `memoria serve`
+ * (and of every shard worker behind `memoria serve --workers N`).
  *
- * A `Server` is transport-agnostic: transports (serve/listener.hh —
- * stdin/stdout, TCP, Unix socket) feed it request lines together with a
- * `Respond` callback, and the server guarantees **exactly one terminal
- * response per request**, whatever happens:
+ * A `Server` is a serve front (serve/front.hh: parsing, inline
+ * introspection, admission, drain) over a thread pool. Each admitted
+ * request runs on a pool thread inside the full isolation boundary
+ * (`harness::runIsolated`): fault-attribution context, per-request
+ * budget deadline, degradation ladder, crash containment. Around it:
  *
- *  - `health`/`stats` requests are answered inline, bypassing the
- *    queue, so introspection works even when the service is saturated;
- *  - work requests pass through a bounded admission queue. A full
- *    queue sheds the request immediately with an `overloaded` response
- *    carrying `retry_after_ms` — clients get backpressure, not
- *    unbounded latency;
- *  - admitted requests run on a worker pool, each request inside the
- *    full isolation boundary (`harness::runIsolated`): fault-
- *    attribution context, per-request budget deadline, degradation
- *    ladder, crash containment;
  *  - per-stage circuit breakers (serve/breaker.hh) observe panic/
  *    timeout outcomes. An open `load` breaker rejects requests with an
  *    `error`; open `optimize`/`simulate` breakers degrade service
  *    (identity rung / no simulation) instead of failing it;
+ *  - under soft RSS pressure the memory governor (serve/governor.hh)
+ *    floors the ladder at a cheaper rung;
+ *  - a content-addressed result cache with single-flight dedup
+ *    (serve/cache.hh) answers repeats, and is snapshotted to disk
+ *    (serve/snapshot.hh) for warm restarts;
  *  - panic and timeout outcomes are minimized into incident bundles
- *    (harness/incident.hh) and the bundle path rides in the response;
- *  - `drain()` stops admission, lets in-flight work finish, answers
- *    queued-but-unstarted requests with `cancelled` once the drain
- *    deadline passes, joins the pool, and flushes the trace sink.
- *
- * The graceful-shutdown story: transports watch `signals::
- * drainRequested()` (SIGTERM/SIGINT), stop reading, and call `drain()`
- * — so a TERM'd server exits 0 with every accepted request answered.
+ *    (harness/incident.hh) and the bundle path rides in the response.
  */
 
 #ifndef MEMORIA_SERVE_SERVER_HH
 #define MEMORIA_SERVE_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <map>
-
 #include "harness/incident.hh"
 #include "harness/batch.hh"
-#include "serve/admission.hh"
 #include "serve/breaker.hh"
 #include "serve/cache.hh"
+#include "serve/front.hh"
 #include "serve/governor.hh"
-#include "serve/protocol.hh"
 
 namespace memoria {
 namespace serve {
@@ -94,8 +77,8 @@ struct ServeOptions
     /** Clamp for client-supplied deadline_ms. */
     int64_t maxDeadlineMs = 30000;
 
-    /** After drain starts, queued requests still unstarted past this
-     *  deadline are answered `cancelled` instead of run. */
+    /** After drain starts, requests still unanswered past this
+     *  deadline are answered `cancelled` instead of awaited. */
     int64_t drainDeadlineMs = 5000;
 
     /** Request-line size bound. */
@@ -141,191 +124,71 @@ struct ServeOptions
     int shard = -1;
 };
 
-/**
- * What a transport needs from the thing it feeds lines to. Both the
- * in-process `Server` and the multi-process `Supervisor`
- * (serve/supervisor.hh) implement it, so runStdio/runListener serve
- * either without knowing which.
- */
-class LineService
+/** The single-process service. Construct, `start()`, feed lines,
+ *  `drain()`. */
+class Server final : public Front
 {
   public:
-    /** Delivers one response line (no trailing newline) to the
-     *  request's client. Must be thread-safe; workers call it. */
-    using Respond = std::function<void(const std::string &)>;
-
-    virtual ~LineService() = default;
-
-    /** Bring the service up (worker pool / worker processes). */
-    virtual void start() = 0;
-
-    /**
-     * Handle one request line. Blank lines are ignored; everything
-     * else gets exactly one terminal response through `respond`,
-     * either inline (parse errors, health/stats, shed, draining) or
-     * later from a worker. `clientKey` identifies the transport
-     * connection for fair-share queuing when the request carries no
-     * `client_id` of its own ("" = anonymous).
-     */
-    virtual void handleLine(const std::string &line,
-                            const Respond &respond,
-                            const std::string &clientKey = "") = 0;
-
-    /**
-     * Graceful shutdown: stop admitting, finish in-flight work,
-     * cancel what the drain deadline strands, flush observability
-     * sinks. Idempotent.
-     */
-    virtual void drain() = 0;
-
-    virtual bool draining() const = 0;
-};
-
-/** The service. Construct, `start()`, feed lines, `drain()`. */
-class Server : public LineService
-{
-  public:
-    using Respond = LineService::Respond;
-
     explicit Server(ServeOptions opts);
     ~Server() override;
 
-    Server(const Server &) = delete;
-    Server &operator=(const Server &) = delete;
-
-    /** Spawn the worker pool. */
-    void start() override;
-
-    void handleLine(const std::string &line, const Respond &respond,
-                    const std::string &clientKey = "") override;
-
-    /** Stop admitting, finish in-flight work, cancel what the drain
-     *  deadline strands, join workers, flush sinks. Idempotent. */
-    void drain() override;
-
-    bool draining() const override { return draining_.load(); }
-
-    // --- Introspection (health/stats responses and tests) ---
-
-    struct RequestCounters
-    {
-        uint64_t received = 0;   ///< lines that parsed as requests
-        uint64_t accepted = 0;   ///< admitted to the queue
-        uint64_t completed = 0;  ///< answered with `result`
-        uint64_t shed = 0;       ///< answered with `overloaded`
-        uint64_t cancelled = 0;  ///< answered with `cancelled`
-        uint64_t errors = 0;     ///< answered with `error`
-    };
-
-    RequestCounters requestCounters() const;
-    size_t queueDepth() const;
     CircuitBreaker &breaker(Stage s) { return *breakers_[int(s)]; }
 
     /** Result-cache counters (zeroed stats when the cache is off). */
     ResultCacheStats cacheStats() const;
 
-    /** The memory governor (null unless a watermark is configured). */
-    MemoryGovernor *governor() { return governor_.get(); }
-
-    /** The admission controller (tests poke depths/estimates). */
-    AdmissionController &admission() { return *admission_; }
-
-    /** The `health` response body (also used by transports' tests). */
-    std::string healthLine(const std::string &id) const;
-
-    /** The `stats` response body: breakers + the obs registry dump. */
-    std::string statsLine(const std::string &id) const;
-
-    /** The `metrics` response body: Prometheus exposition + registry +
-     *  queue/breaker state. Answered inline like `health`. */
-    std::string metricsLine(const std::string &id) const;
-
   private:
-    struct Job
+    /** A processed request's terminal response. */
+    struct Reply
     {
-        Request req;
-        Respond respond;
-        double enqueuedUs = 0.0;  ///< steady-clock at admission
-        uint64_t admitId = 0;     ///< admission-controller ticket
+        Outcome outcome = Outcome::Completed;
+        std::string line;
     };
 
-    void workerLoop();
-    void process(const Job &job);
-    void answerDrop(const Job &job, bool expired, size_t depth);
-    void governorLoop();
+    void startBackend() override;
+    void stopBackend() override;
     /** p90 of the live per-kind service-time histogram (µs; 0 = no
      *  signal yet) — the admission controller's feasibility input. */
-    int64_t estimatedServiceUs(RequestKind kind) const;
-    void metricsLoop();
-    void writeMetricsSnapshotNow();
-    void snapshotLoop();
+    int64_t estimatedServiceUs(RequestKind kind) const override;
+    std::pair<std::string, json::Value> stateBlock() const override;
+    void healthFields(json::Value &health,
+                      json::Value &admission) const override;
+
+    void workerLoop();
+    Reply process(uint64_t seq, const Pending &job,
+                  std::unique_lock<std::mutex> &start);
+    Reply cachedReply(const Pending &job, const std::string &body,
+                      double startUs, double queueUs,
+                      const std::string &traceId, bool dedupFollower);
     void writeCacheSnapshotNow();
     void loadCacheSnapshot();
-    void respondCached(const Job &job, const std::string &body,
-                       double startUs, double queueUs,
-                       const std::string &traceId, bool dedupFollower);
 
     ServeOptions opts_;
     std::unique_ptr<CircuitBreaker> breakers_[kNumStages];
-
-    mutable std::mutex queueMutex_;
-    std::condition_variable queueCv_;
-    /** Queue order and fair-share policy live in the controller;
-     *  payloads are held here keyed by the admission ticket. Both are
-     *  guarded by queueMutex_. */
-    std::unique_ptr<AdmissionController> admission_;
-    std::map<uint64_t, Job> jobs_;
-    uint64_t admitSeq_ = 0;
-    /** Bumped (under queueMutex_) on every enqueue and finish. Workers
-     *  wait on "generation changed since my last pop attempt" rather
-     *  than "depth > 0": when every queued client is at its in-flight
-     *  cap, depth alone would turn the wait into a hot spin. */
-    uint64_t queueGen_ = 0;
-    bool stop_ = false;
-    /** Serializes drain(): a SIGTERM-initiated drain can race the
-     *  destructor's (or a second transport's), and thread::join is
-     *  not safe to race. The loser blocks until the drain is done. */
-    std::mutex drainMutex_;
-    std::atomic<bool> draining_{false};
-    std::atomic<int64_t> drainDeadlineAt_{0};
-    std::vector<std::thread> workers_;
 
     /** Serializes fault-armed execution and incident reduction (both
      *  manipulate the process-global fault plan). */
     std::mutex faultMutex_;
 
-    std::atomic<uint64_t> seq_{0};
-    int64_t startedAtMs_ = 0;
-
-    /** Periodic metrics-snapshot writer (opts_.metricsPath). */
-    std::thread metricsThread_;
-    std::mutex metricsMutex_;
-    std::condition_variable metricsCv_;
-    bool metricsStop_ = false;
-    std::unique_ptr<std::ofstream> metricsOut_;
-    std::mutex metricsFileMutex_;
-
-    std::atomic<uint64_t> received_{0}, accepted_{0}, completed_{0},
-        shed_{0}, cancelled_{0}, errors_{0};
+    /** Orders pool threads from pop to cache-flight start. */
+    std::mutex startMutex_;
 
     /** Content-addressed result cache (null when disabled). */
     std::unique_ptr<ResultCache> cache_;
     std::string configDigest_;
 
     /** Periodic cache-snapshot writer (opts_.cacheSnapshotPath). */
-    std::thread snapshotThread_;
-    std::mutex snapshotMutex_;
-    std::condition_variable snapshotCv_;
-    bool snapshotStop_ = false;
+    Periodic snapshotTicker_;
     /** Set on ENOSPC: durability is off, serving continues. */
     std::atomic<bool> snapshotDisabled_{false};
 
     /** RSS watermarks (null unless configured) + sampling thread. */
     std::unique_ptr<MemoryGovernor> governor_;
-    std::thread governorThread_;
-    std::mutex governorMutex_;
-    std::condition_variable governorCv_;
-    bool governorStop_ = false;
+    Periodic governorTicker_;
+
+    /** The pool; its threads exit once poolStop_ is set (under mu_). */
+    std::vector<std::thread> workers_;
+    bool poolStop_ = false;
 };
 
 } // namespace serve

@@ -12,66 +12,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <sstream>
 
-#include "support/export.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/procstat.hh"
 #include "support/signals.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
-#include "support/version.hh"
 
 namespace memoria {
 namespace serve {
 
 namespace {
-
-int64_t
-nowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Integer steady-clock µs for the admission controller's clock. */
-int64_t
-steadyUs()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-int64_t
-wallMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-std::string
-registryDumpJson()
-{
-    std::ostringstream os;
-    obs::statsRegistry().dumpJson(os);
-    std::string s = os.str();
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-        s.pop_back();
-    return s;
-}
 
 uint64_t
 fnv1a64(const std::string &s)
@@ -131,53 +83,19 @@ setCloexecNonblock(int fd)
 
 } // namespace
 
-Supervisor::Supervisor(SupervisorOptions opts) : opts_(std::move(opts))
+Supervisor::Supervisor(SupervisorOptions opts)
+    : Front(opts.serve, std::max(1, opts.workers), opts.maxQueuedPerWorker,
+            true),  // bound each worker's queued + in-flight work
+      opts_(std::move(opts))
 {
     opts_.workers = std::max(1, opts_.workers);
-    startedAtMs_ = nowMs();
-    AdmissionOptions aopts;
-    aopts.queueCapacity = opts_.maxQueuedPerWorker;
-    aopts.perClientCap = opts_.serve.perClientCap;
-    aopts.countInflight = true;  // the old backlog check bounded both
-    aopts.retryAfterMs = opts_.serve.retryAfterMs;
-    aopts.ageTargetMs = opts_.serve.ageTargetMs;
-    // One controller per shard; the monitor publishes summed gauges.
-    aopts.publishGauges = false;
     for (int i = 0; i < opts_.workers; ++i) {
         auto w = std::make_unique<Worker>();
         w->shard = i;
-        w->admission = std::make_unique<AdmissionController>(aopts);
         workers_.push_back(std::move(w));
     }
-    if (!opts_.journalPath.empty()) {
-        // Recovery replay MUST precede open(): open() truncates, and
-        // the previous incarnation's admitted-but-unanswered requests
-        // are only recorded in the old file. What it finds is exactly
-        // the set of requests a restarted supervisor owes an answer
-        // for — surfaced in the `health` response's `recovery` block
-        // so clients (and the chaos soak) can resubmit them.
-        std::error_code ec;
-        if (std::filesystem::exists(opts_.journalPath, ec)) {
-            Result<std::vector<JournalEntry>> prev =
-                Journal::readIncomplete(opts_.journalPath);
-            if (prev.ok() && !prev.value().empty()) {
-                recovery_ = std::move(prev.value());
-                for (size_t i = 0; i < recovery_.size(); ++i)
-                    ++obs::counter("serve.recovery.unanswered");
-                obs::traceEvent(
-                    "serve", "journal_replay",
-                    {{"path", opts_.journalPath},
-                     {"unanswered",
-                      static_cast<int64_t>(recovery_.size())}});
-            }
-        }
-        Result<std::unique_ptr<Journal>> j =
-            Journal::open(opts_.journalPath, opts_.journal);
-        if (j.ok())
-            journal_ = std::move(j.value());
-        else
-            warn("serve: " + j.diag().str() + " (journal disabled)");
-    }
+    if (!opts_.journalPath.empty())
+        openJournal(opts_.journalPath, opts_.journal);
 }
 
 Supervisor::~Supervisor()
@@ -186,10 +104,8 @@ Supervisor::~Supervisor()
 }
 
 void
-Supervisor::start()
+Supervisor::startBackend()
 {
-    if (started_.exchange(true))
-        return;
     MEMORIA_ASSERT(!opts_.workerCommand.empty(),
                    "supervisor needs a worker command");
     // A flush racing a worker's death must surface as EPIPE on the
@@ -208,18 +124,6 @@ Supervisor::start()
             spawnWorkerLocked(*w, out);
     }
     deliver(out);
-
-    if (!opts_.serve.metricsPath.empty()) {
-        metricsOut_ = std::make_unique<std::ofstream>(
-            opts_.serve.metricsPath, std::ios::app);
-        if (!*metricsOut_) {
-            obs::traceEvent("serve", "metrics_file_error",
-                            {{"path", opts_.serve.metricsPath}});
-            metricsOut_.reset();
-        } else if (opts_.serve.metricsIntervalMs > 0) {
-            metricsThread_ = std::thread([this] { metricsLoop(); });
-        }
-    }
 
     monitor_ = std::thread([this] { monitorLoop(); });
     obs::traceEvent("serve", "supervisor_start",
@@ -283,103 +187,9 @@ Supervisor::forwardLine(const Pending &p, uint64_t seq) const
 }
 
 void
-Supervisor::handleLine(const std::string &line, const Respond &respond,
-                       const std::string &clientKey)
+Supervisor::admittedLocked(int shard, std::vector<Outgoing> &out)
 {
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos)
-        return;
-
-    ++received_;
-    Result<Request> parsed =
-        parseRequest(line, opts_.serve.maxRequestBytes);
-    if (!parsed.ok()) {
-        ++errors_;
-        ++obs::counter("serve.request_errors");
-        // The Diag's own code distinguishes protocol.too-large
-        // (resource caps) from serve.request (bad input).
-        respond(errorResponse("", parsed.diag().code,
-                              parsed.diag().str()));
-        return;
-    }
-    const Request &req = parsed.value();
-    ++obs::counter("serve.requests_total");
-
-    if (req.kind == RequestKind::Health) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.health"));
-        respond(healthLine(req.id));
-        return;
-    }
-    if (req.kind == RequestKind::Stats) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.stats"));
-        respond(statsLine(req.id));
-        return;
-    }
-    if (req.kind == RequestKind::Metrics) {
-        obs::ScopedTimer t(obs::histogram("serve.latency_us.metrics"));
-        respond(metricsLine(req.id));
-        return;
-    }
-
-    const int shard = shardOf(req.program);
-    std::vector<Outgoing> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (draining_.load()) {
-            ++cancelled_;
-            respond(cancelledResponse(req.id, "server draining"));
-            return;
-        }
-        Worker &w = *workers_[shard];
-
-        // Fair-share identity: explicit client_id beats the transport
-        // connection key beats the anonymous bucket.
-        const std::string client =
-            !req.clientId.empty()
-                ? req.clientId
-                : (!clientKey.empty() ? clientKey : "anon");
-        Priority pri = Priority::Interactive;
-        parsePriority(req.priority, pri);
-        const int64_t now = steadyUs();
-        int64_t deadlineAtUs = 0;
-        if (req.deadlineMs > 0)
-            deadlineAtUs =
-                now + std::min(req.deadlineMs,
-                               opts_.serve.maxDeadlineMs) * 1000;
-
-        const AdmissionDecision d =
-            w.admission->decide(client, pri, deadlineAtUs, 0, now);
-        if (!d.admitted) {
-            ++shed_;
-            ++obs::counter("serve.shed");
-            respond(overloadedResponse(req.id, d.retryAfterMs,
-                                       d.queueDepth, d.reason));
-            return;
-        }
-
-        const uint64_t seq = ++seq_;
-        Pending p;
-        p.req = req;
-        p.respond = respond;
-        p.shard = shard;
-        // Idempotent kinds retry transparently; compound only on the
-        // client's explicit "replay": true.
-        p.replayOk = req.kind != RequestKind::Compound || req.replay;
-        p.enqueuedUs = nowUs();
-        p.client = client;
-        p.priority = pri;
-        p.admitDeadlineUs = deadlineAtUs;
-        if (journal_)
-            journal_->appendAdmit(seq, req.id,
-                                  requestKindName(req.kind), shard,
-                                  p.replayOk, line);
-        pending_.emplace(seq, std::move(p));
-        w.admission->enqueue(seq, client, pri, deadlineAtUs, now);
-        ++accepted_;
-        ++obs::counter("serve.accepted");
-        pumpWorkerLocked(w, out);
-    }
-    deliver(out);
-    cv_.notify_all();
+    pumpWorkerLocked(*workers_[shard], out);
 }
 
 void
@@ -389,21 +199,12 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         opts_.maxInflightPerWorker > 0
             ? opts_.maxInflightPerWorker
             : static_cast<size_t>(std::max(1, opts_.serve.jobs));
-    const int64_t now = steadyUs();
-    std::vector<AdmissionDrop> drops;
     while (w.up && !w.recycling &&
            w.inflight.size() < maxInflight) {
-        const uint64_t seq = w.admission->pop(now, drops);
+        const uint64_t seq = popLocked(w.shard, out);
         if (seq == 0)
             break;
-        auto it = pending_.find(seq);
-        if (it == pending_.end()) {
-            // Stale ticket (already resolved): release its slot.
-            w.admission->finish(seq, now);
-            continue;
-        }
-        Pending &p = it->second;
-        p.inflight = true;
+        Pending &p = pending_.at(seq);
         p.forwardedAtUs = nowUs();
         const int64_t eff = effectiveDeadlineMs(p.req);
         p.deadlineAtMs =
@@ -412,41 +213,8 @@ Supervisor::pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out)
         w.outbuf += forwardLine(p, seq);
         w.outbuf += "\n";
     }
-    answerDropsLocked(w, drops, out);
     flushOutbufLocked(w);
     maybeFinishRecycleLocked(w);
-}
-
-void
-Supervisor::answerDropsLocked(Worker &w,
-                              const std::vector<AdmissionDrop> &drops,
-                              std::vector<Outgoing> &out)
-{
-    for (const AdmissionDrop &d : drops) {
-        auto it = pending_.find(d.id);
-        if (it == pending_.end())
-            continue;
-        Pending &p = it->second;
-        if (d.expired) {
-            // Its deadline passed while it sat in the queue: answering
-            // now beats burning a worker on a result nobody can use.
-            const int64_t waitedMs = static_cast<int64_t>(
-                (nowUs() - p.enqueuedUs) / 1000.0);
-            finishLocked(d.id,
-                         deadlineExceededResponse(p.req.id, waitedMs),
-                         "deadline-exceeded", errors_, out);
-        } else {
-            // CoDel aged the standing queue's oldest entry out.
-            ++obs::counter("serve.shed");
-            finishLocked(
-                d.id,
-                overloadedResponse(
-                    p.req.id,
-                    jitteredRetryAfterMs(opts_.serve.retryAfterMs),
-                    w.admission->depth(), "queue-aged"),
-                "queue-aged", shed_, out);
-        }
-    }
 }
 
 void
@@ -510,7 +278,7 @@ Supervisor::workerRecycledLocked(Worker &w, std::vector<Outgoing> &out)
     w.recycleStartedMs = 0;
     w.backoffMs = 0;  // graceful exit: no crash backoff
     w.respawnAtMs = 0;
-    if (!draining_.load())
+    if (!draining())
         spawnWorkerLocked(w, out);
 }
 
@@ -729,7 +497,7 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
         // Pure forward-to-answer time feeds the controller's drain-
         // rate and service-time estimates (queue delay excluded).
         if (p.forwardedAtUs > 0.0)
-            w.admission->recordService(
+            admission_[shard]->recordService(
                 static_cast<int64_t>(nowUs() - p.forwardedAtUs));
         v.set("id", json::Value::string(p.req.id));
         if (p.retried) {
@@ -737,18 +505,18 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
             ++obs::counter("serve.worker.retry_answered");
         }
         const std::string type = v.getString("type", "result");
-        std::string outcome = type;
-        std::atomic<uint64_t> *ctr = &completed_;
+        std::string journalAs = type;
+        Outcome outcome = Outcome::Completed;
         if (type == "result") {
-            outcome = v.getString("status", "ok");
+            journalAs = v.getString("status", "ok");
         } else if (type == "error") {
-            ctr = &errors_;
+            outcome = Outcome::Error;
         } else if (type == "overloaded") {
-            ctr = &shed_;
+            outcome = Outcome::Shed;
         } else if (type == "cancelled") {
-            ctr = &cancelled_;
+            outcome = Outcome::Cancelled;
         }
-        finishLocked(seq, v.dump(), outcome, *ctr, out);
+        finishLocked(seq, outcome, v.dump(), out, journalAs);
         ++w.served;
         if (opts_.maxRequestsPerWorker > 0 && !w.recycling &&
             w.served >= opts_.maxRequestsPerWorker)
@@ -757,42 +525,6 @@ Supervisor::onWorkerLine(int shard, uint64_t generation,
     }
     deliver(out);
     cv_.notify_all();
-}
-
-void
-Supervisor::finishLocked(uint64_t seq, const std::string &line,
-                         const std::string &outcome,
-                         std::atomic<uint64_t> &counter,
-                         std::vector<Outgoing> &out)
-{
-    auto it = pending_.find(seq);
-    if (it == pending_.end())
-        return;
-    Pending &p = it->second;
-    // Whatever path resolved it, release its admission slot (tolerant
-    // of still-queued and already-unknown ids alike).
-    workers_[p.shard]->admission->finish(seq, steadyUs());
-    ++counter;
-    if (p.enqueuedUs > 0.0)
-        obs::histogram(std::string("serve.latency_us.") +
-                       requestKindName(p.req.kind))
-            .sample(nowUs() - p.enqueuedUs);
-    if (journal_)
-        journal_->appendDone(seq, outcome);
-    out.push_back(Outgoing{p.respond, line});
-    pending_.erase(it);
-}
-
-void
-Supervisor::deliver(std::vector<Outgoing> &out)
-{
-    // Responses go out after mu_ is released: a slow client write
-    // must not stall admission, readers, or the monitor.
-    for (Outgoing &o : out) {
-        if (o.respond)
-            o.respond(o.line);
-    }
-    out.clear();
 }
 
 void
@@ -867,7 +599,8 @@ Supervisor::handleWorkerDownLocked(Worker &w, const std::string &why,
     std::vector<uint64_t> inflight(w.inflight.begin(),
                                    w.inflight.end());
     w.inflight.clear();
-    const int64_t nowSteady = steadyUs();
+    const int64_t nowSteady = static_cast<int64_t>(nowUs());
+    AdmissionController &ac = *admission_[w.shard];
     for (auto rit = inflight.begin(); rit != inflight.end(); ++rit) {
         const uint64_t seq = *rit;
         auto it = pending_.find(seq);
@@ -881,8 +614,8 @@ Supervisor::handleWorkerDownLocked(Worker &w, const std::string &why,
             p.forwardedAtUs = 0.0;
             // Release the popped slot, then queue the retry under the
             // same fair-share key for the respawned worker.
-            w.admission->finish(seq, nowSteady);
-            w.admission->enqueue(seq, p.client, p.priority,
+            ac.finish(seq, nowSteady);
+            ac.enqueue(seq, p.client, p.priority,
                                  p.admitDeadlineUs, nowSteady);
             ++obs::counter("serve.worker.retries");
             if (journal_)
@@ -890,14 +623,13 @@ Supervisor::handleWorkerDownLocked(Worker &w, const std::string &why,
                     "retry", {{"seq", std::to_string(seq)},
                               {"shard", std::to_string(w.shard)}});
         } else {
-            finishLocked(
-                seq,
-                errorResponse(
-                    p.req.id, "serve.worker-crashed",
-                    "worker shard " + std::to_string(w.shard) +
-                        " died (" + why +
-                        ") while running this request"),
-                "worker-crashed", errors_, out);
+            finishLocked(seq, Outcome::Error,
+                         errorResponse(
+                             p.req.id, "serve.worker-crashed",
+                             "worker shard " + std::to_string(w.shard) +
+                                 " died (" + why +
+                                 ") while running this request"),
+                         out, "worker-crashed");
         }
     }
 
@@ -934,7 +666,7 @@ Supervisor::reapLocked(std::vector<Outgoing> &out)
             continue;
         }
         const bool expected =
-            draining_.load() && kind == "exit_0";
+            draining() && kind == "exit_0";
         if (!expected)
             ++obs::counter("serve.worker.crash." + kind);
         if (w.up)
@@ -959,7 +691,7 @@ Supervisor::monitorLoop()
         // SIGHUP: queue a rolling restart of every shard. A HUP that
         // lands mid-roll is coalesced into the one already running.
         if (signals::consumeHup() && rollingQueue_.empty() &&
-            !draining_.load()) {
+            !draining()) {
             for (auto &wp : workers_)
                 rollingQueue_.push_back(wp->shard);
             ++obs::counter("serve.rolling_restarts");
@@ -969,7 +701,7 @@ Supervisor::monitorLoop()
         // Advance the roll only when the fleet is whole again — the
         // previous shard is back up and nothing is mid-recycle — so
         // capacity dips by at most one worker at a time.
-        if (!rollingQueue_.empty() && !draining_.load()) {
+        if (!rollingQueue_.empty() && !draining()) {
             bool quiet = true;
             for (auto &wp : workers_)
                 if (!wp->up || wp->recycling) {
@@ -983,12 +715,9 @@ Supervisor::monitorLoop()
             }
         }
 
-        // Per-worker RSS via /proc/<pid>/statm, plus the summed
-        // admission-depth gauges (the per-shard controllers do not
-        // publish their own).
+        // Per-worker RSS via /proc/<pid>/statm.
         if (now - lastRssSampleMs_ >= 500) {
             lastRssSampleMs_ = now;
-            uint64_t qInt = 0, qBatch = 0;
             for (auto &wp : workers_) {
                 Worker &w = *wp;
                 if (w.up && w.pid > 0) {
@@ -1000,13 +729,7 @@ Supervisor::monitorLoop()
                         rss > opts_.serve.rssHardBytes)
                         beginRecycleLocked(w, "rss");
                 }
-                qInt += w.admission->depth(Priority::Interactive);
-                qBatch += w.admission->depth(Priority::Batch);
             }
-            obs::gauge("serve.admission.queue.interactive")
-                .set(static_cast<double>(qInt));
-            obs::gauge("serve.admission.queue.batch")
-                .set(static_cast<double>(qBatch));
         }
 
         for (auto &wp : workers_) {
@@ -1058,7 +781,7 @@ Supervisor::monitorLoop()
                            now - w.spawnedAtMs > opts_.stableMs) {
                     w.backoffMs = 0;  // survived: backoff resets
                 }
-            } else if (w.pid < 0 && !draining_.load() &&
+            } else if (w.pid < 0 && !draining() &&
                        w.respawnAtMs > 0 && now >= w.respawnAtMs) {
                 w.respawnAtMs = 0;
                 spawnWorkerLocked(w, out);
@@ -1083,42 +806,14 @@ Supervisor::monitorLoop()
 }
 
 void
-Supervisor::drain()
+Supervisor::stopBackend()
 {
-    std::lock_guard<std::mutex> drainLock(drainMutex_);
-    if (drained_.exchange(true))
-        return;
-    draining_.store(true);
-    obs::traceEvent("serve", "supervisor_drain",
-                    {{"pending",
-                      static_cast<int64_t>(pending_.size())}});
-    cv_.notify_all();
-
-    const int64_t deadline =
-        nowMs() + opts_.serve.drainDeadlineMs;
-    std::vector<Outgoing> out;
     {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (!pending_.empty() && nowMs() < deadline)
-            cv_.wait_for(lock, std::chrono::milliseconds(25));
-
-        // Strand whatever the deadline left behind — queued or
-        // in-flight on a wedged worker — with `cancelled`.
-        std::vector<uint64_t> leftover;
-        leftover.reserve(pending_.size());
-        for (const auto &[seq, p] : pending_)
-            leftover.push_back(seq);
-        for (uint64_t seq : leftover) {
-            finishLocked(seq,
-                         cancelledResponse(pending_[seq].req.id,
-                                           "drain deadline exceeded"),
-                         "cancelled", cancelled_, out);
-        }
+        std::lock_guard<std::mutex> lock(mu_);
         for (auto &wp : workers_)
             wp->inflight.clear();
         stop_.store(true);
     }
-    deliver(out);
     cv_.notify_all();
     if (monitor_.joinable())
         monitor_.join();
@@ -1168,93 +863,6 @@ Supervisor::drain()
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-
-    if (journal_) {
-        journal_->sync();
-        if (journal_->depth() != 0) {
-            // Every admit should have a done by now; this firing
-            // means a response was lost — exactly what the journal
-            // exists to catch.
-            obs::traceEvent(
-                "serve", "journal_nonempty",
-                {{"depth",
-                  static_cast<int64_t>(journal_->depth())}});
-            warn("serve: journal has " +
-                 std::to_string(journal_->depth()) +
-                 " unanswered admissions after drain");
-        }
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(metricsMutex_);
-        metricsStop_ = true;
-    }
-    metricsCv_.notify_all();
-    if (metricsThread_.joinable())
-        metricsThread_.join();
-    writeMetricsSnapshotNow();
-    {
-        std::lock_guard<std::mutex> lock(metricsFileMutex_);
-        metricsOut_.reset();
-    }
-
-    obs::flushTrace();
-}
-
-void
-Supervisor::metricsLoop()
-{
-    std::unique_lock<std::mutex> lock(metricsMutex_);
-    while (!metricsStop_) {
-        metricsCv_.wait_for(
-            lock,
-            std::chrono::milliseconds(opts_.serve.metricsIntervalMs),
-            [this] { return metricsStop_; });
-        if (metricsStop_)
-            break;
-        lock.unlock();
-        writeMetricsSnapshotNow();
-        lock.lock();
-    }
-}
-
-void
-Supervisor::writeMetricsSnapshotNow()
-{
-    std::lock_guard<std::mutex> lock(metricsFileMutex_);
-    if (!metricsOut_)
-        return;
-    size_t depth;
-    {
-        std::lock_guard<std::mutex> mlock(mu_);
-        depth = pending_.size();
-    }
-    std::vector<std::pair<std::string, std::string>> extra;
-    extra.emplace_back("queue_depth", std::to_string(depth));
-    extra.emplace_back(
-        "queue_capacity",
-        std::to_string(opts_.maxQueuedPerWorker *
-                       static_cast<size_t>(opts_.workers)));
-    extra.emplace_back("uptime_ms",
-                       std::to_string(nowMs() - startedAtMs_));
-    extra.emplace_back("draining",
-                       draining_.load() ? "true" : "false");
-    extra.emplace_back("workers", workersDump());
-    obs::writeMetricsSnapshot(obs::statsRegistry(), *metricsOut_,
-                              wallMs(), extra);
-}
-
-Server::RequestCounters
-Supervisor::requestCounters() const
-{
-    Server::RequestCounters c;
-    c.received = received_.load();
-    c.accepted = accepted_.load();
-    c.completed = completed_.load();
-    c.shed = shed_.load();
-    c.cancelled = cancelled_.load();
-    c.errors = errors_.load();
-    return c;
 }
 
 std::vector<WorkerRow>
@@ -1271,7 +879,7 @@ Supervisor::workerRows() const
         r.pid = w.pid;
         r.state = !w.up ? "down" : (w.recycling ? "recycling" : "up");
         r.inflight = w.inflight.size();
-        r.queued = w.admission->depth();
+        r.queued = admission_[w.shard]->depth();
         r.respawns = w.respawns;
         r.crashes = w.crashes;
         r.recycles = w.recycles;
@@ -1317,8 +925,8 @@ Supervisor::publishCacheGaugesLocked()
         .set(static_cast<double>(loaded));
 }
 
-std::string
-Supervisor::workersDump() const
+json::Value
+Supervisor::workersJson() const
 {
     json::Value arr = json::Value::array();
     for (const WorkerRow &r : workerRows()) {
@@ -1344,129 +952,28 @@ Supervisor::workersDump() const
               json::Value::number(r.heartbeatAgeMs));
         arr.push(std::move(o));
     }
-    return arr.dump();
+    return arr;
 }
 
-std::string
-Supervisor::healthLine(const std::string &id) const
+std::pair<std::string, json::Value>
+Supervisor::stateBlock() const
 {
-    Server::RequestCounters c = requestCounters();
-    size_t depth;
-    uint64_t qInteractive = 0, qBatch = 0, inflight = 0, recycles = 0;
+    return {"workers", workersJson()};
+}
+
+void
+Supervisor::healthFields(json::Value &r, json::Value &admission) const
+{
+    uint64_t recycles = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        depth = pending_.size();
-        for (const auto &wp : workers_) {
-            qInteractive +=
-                wp->admission->depth(Priority::Interactive);
-            qBatch += wp->admission->depth(Priority::Batch);
-            inflight += wp->inflight.size();
+        for (const auto &wp : workers_)
             recycles += wp->recycles;
-        }
     }
-    json::Value r = json::Value::object();
-    r.set("id", json::Value::string(id));
-    r.set("type", json::Value::string("health"));
-    r.set("status", json::Value::string(
-                        draining_.load() ? "draining" : "ok"));
-    r.set("version", json::Value::string(versionLine()));
-    r.set("uptime_ms", json::Value::number(nowMs() - startedAtMs_));
     r.set("workers", json::Value::number(int64_t{opts_.workers}));
-    r.set("queue_depth",
-          json::Value::number(static_cast<int64_t>(depth)));
-    r.set("queue_capacity",
-          json::Value::number(static_cast<int64_t>(
-              opts_.maxQueuedPerWorker *
-              static_cast<size_t>(opts_.workers))));
-
-    json::Value reqs = json::Value::object();
-    reqs.set("received",
-             json::Value::number(static_cast<int64_t>(c.received)));
-    reqs.set("accepted",
-             json::Value::number(static_cast<int64_t>(c.accepted)));
-    reqs.set("completed",
-             json::Value::number(static_cast<int64_t>(c.completed)));
-    reqs.set("shed", json::Value::number(static_cast<int64_t>(c.shed)));
-    reqs.set("cancelled",
-             json::Value::number(static_cast<int64_t>(c.cancelled)));
-    reqs.set("errors",
-             json::Value::number(static_cast<int64_t>(c.errors)));
-    r.set("requests", std::move(reqs));
-
-    // Summed admission state across the per-shard controllers — the
-    // overload-soak's (and `memoria top`'s) one-stop view.
-    json::Value adm = json::Value::object();
-    adm.set("queued_interactive",
-            json::Value::number(static_cast<int64_t>(qInteractive)));
-    adm.set("queued_batch",
-            json::Value::number(static_cast<int64_t>(qBatch)));
-    adm.set("inflight",
-            json::Value::number(static_cast<int64_t>(inflight)));
-    adm.set("recycles",
-            json::Value::number(static_cast<int64_t>(recycles)));
-    r.set("admission", std::move(adm));
-
-    // Admitted-but-unanswered requests found by the journal replay at
-    // construction: what the previous incarnation owed its clients.
-    if (!recovery_.empty()) {
-        json::Value rec = json::Value::object();
-        rec.set("journal_replayed", json::Value::boolean(true));
-        rec.set("unanswered",
-                json::Value::number(
-                    static_cast<int64_t>(recovery_.size())));
-        json::Value arr = json::Value::array();
-        constexpr size_t kMaxListed = 16;
-        for (size_t i = 0; i < recovery_.size() && i < kMaxListed;
-             ++i) {
-            const JournalEntry &e = recovery_[i];
-            json::Value o = json::Value::object();
-            o.set("seq", json::Value::number(
-                             static_cast<int64_t>(e.seq)));
-            o.set("id", json::Value::string(e.id));
-            o.set("kind", json::Value::string(e.kind));
-            o.set("shard", json::Value::number(int64_t{e.shard}));
-            arr.push(std::move(o));
-        }
-        rec.set("entries", std::move(arr));
-        r.set("recovery", std::move(rec));
-    }
-
-    std::string line = r.dump();
-    // Splice the workers array in (it is already dumped JSON).
-    line.pop_back();  // '}'
-    line += ",\"worker_table\":" + workersDump() + "}";
-    return line;
-}
-
-std::string
-Supervisor::statsLine(const std::string &id) const
-{
-    return "{\"id\":" + json::quote(id) +
-           ",\"type\":\"stats\",\"workers\":" + workersDump() +
-           ",\"registry\":" + registryDumpJson() + "}";
-}
-
-std::string
-Supervisor::metricsLine(const std::string &id) const
-{
-    size_t depth;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        depth = pending_.size();
-    }
-    return "{\"id\":" + json::quote(id) + ",\"type\":\"metrics\"" +
-           ",\"ts_ms\":" + std::to_string(wallMs()) +
-           ",\"uptime_ms\":" + std::to_string(nowMs() - startedAtMs_) +
-           ",\"queue_depth\":" +
-           std::to_string(static_cast<int64_t>(depth)) +
-           ",\"queue_capacity\":" +
-           std::to_string(opts_.maxQueuedPerWorker *
-                          static_cast<size_t>(opts_.workers)) +
-           ",\"draining\":" + (draining_.load() ? "true" : "false") +
-           ",\"workers\":" + workersDump() +
-           ",\"registry\":" + registryDumpJson() +
-           ",\"exposition\":" + json::quote(obs::prometheusText()) +
-           "}";
+    admission.set("recycles",
+                  json::Value::number(static_cast<int64_t>(recycles)));
+    r.set("worker_table", workersJson());
 }
 
 } // namespace serve

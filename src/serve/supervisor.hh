@@ -49,33 +49,30 @@
  *    up). A recycle loses zero requests and is counted in
  *    `serve.worker.recycled`, never in `serve.worker.crash.*`.
  *
- * Admission is per shard: each worker slot owns an
- * `AdmissionController` (serve/admission.hh) bounded by
- * `maxQueuedPerWorker` (queued + in-flight), giving the supervisor
- * deadline-aware shed-on-arrival, per-client fair-share dequeue, and
- * CoDel aging in front of every worker pipe.
- *
- * The supervisor answers `health`/`stats`/`metrics` inline from its
- * own registry (adding a `workers` array that `memoria top` renders
- * as per-worker rows); work requests are forwarded with a rewritten
- * id (`s<seq>`) and the original id restored on the way back. Drain
- * means: stop admitting, let workers finish, cancel what the drain
- * deadline strands, close the worker pipes (workers see EOF and exit
- * 0), reap everything, check the journal is empty, write the final
- * metrics snapshot, exit 0.
+ * The supervisor is the sharded backend of a serve front
+ * (serve/front.hh): the front parses, answers `health`/`stats`/
+ * `metrics` inline (this backend adds the `workers` array that
+ * `memoria top` renders as per-worker rows), and admits per shard —
+ * one `AdmissionController` per worker slot, bounded by
+ * `maxQueuedPerWorker` (queued + in-flight), so every worker pipe has
+ * deadline-aware shed-on-arrival, per-client fair-share dequeue and
+ * CoDel aging in front of it. Work requests are forwarded with a
+ * rewritten id (`s<seq>`) and the original id restored on the way
+ * back. Drain means: the front stops admitting, lets workers finish,
+ * cancels what the drain deadline strands; then this backend closes
+ * the worker pipes (workers see EOF and exit 0) and reaps everything;
+ * the front checks the journal is empty and writes the final metrics
+ * snapshot.
  */
 
 #ifndef MEMORIA_SERVE_SUPERVISOR_HH
 #define MEMORIA_SERVE_SUPERVISOR_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -100,8 +97,8 @@ struct SupervisorOptions
      */
     std::vector<std::string> workerCommand;
 
-    /** Shared service limits (deadlines, queue bound, request size;
-     *  also the source of the metrics snapshot path). */
+    /** Shared service limits (deadlines, request size, retry hint,
+     *  per-client cap, aging; also the metrics snapshot path). */
     ServeOptions serve;
 
     /** Heartbeat cadence and how many misses mean "hung". */
@@ -156,64 +153,18 @@ struct WorkerRow
 };
 
 /** The front process. Construct, `start()`, feed lines, `drain()`. */
-class Supervisor : public LineService
+class Supervisor final : public Front
 {
   public:
-    using Respond = LineService::Respond;
-
     explicit Supervisor(SupervisorOptions opts);
     ~Supervisor() override;
 
-    Supervisor(const Supervisor &) = delete;
-    Supervisor &operator=(const Supervisor &) = delete;
-
-    /** Spawn the shard workers and the monitor thread. */
-    void start() override;
-
-    void handleLine(const std::string &line, const Respond &respond,
-                    const std::string &clientKey = "") override;
-
-    /** Stop admitting, wait for in-flight work (bounded by
-     *  drainDeadlineMs), shut the workers down, reap, flush. */
-    void drain() override;
-
-    bool draining() const override { return draining_.load(); }
-
-    // --- Introspection (tests, health/metrics responses) ---
-
     /** The shard the consistent hash assigns this program text. */
-    int shardOf(const std::string &program) const;
+    int shardOf(const std::string &program) const override;
 
-    Server::RequestCounters requestCounters() const;
     std::vector<WorkerRow> workerRows() const;
 
-    std::string healthLine(const std::string &id) const;
-    std::string statsLine(const std::string &id) const;
-    std::string metricsLine(const std::string &id) const;
-
-    /** The journal, when one is configured (tests inspect depth). */
-    Journal *journal() { return journal_.get(); }
-
   private:
-    /** One admitted work request awaiting its terminal response. */
-    struct Pending
-    {
-        Request req;
-        Respond respond;
-        int shard = 0;
-        bool replayOk = false;   ///< eligible for one crash-retry
-        bool retried = false;    ///< crash-retry already spent
-        bool inflight = false;   ///< forwarded (vs still queued)
-        double enqueuedUs = 0.0;
-        double forwardedAtUs = 0.0;  ///< service-time sample start
-        int64_t deadlineAtMs = 0;  ///< hang cutoff once forwarded
-        /** Fair-share identity + class, resolved at admission (the
-         *  crash-retry path re-enqueues under the same key). */
-        std::string client;
-        Priority priority = Priority::Interactive;
-        int64_t admitDeadlineUs = 0;  ///< steady-clock µs, 0 = none
-    };
-
     /** Last-heartbeat view of one worker's result-cache counters. */
     struct WorkerCacheStats
     {
@@ -227,7 +178,8 @@ class Supervisor : public LineService
         uint64_t snapshotLoaded = 0;
     };
 
-    /** One shard worker slot. */
+    /** One shard worker slot. Its queue is the front's shard
+     *  controller, which survives the process across respawns. */
     struct Worker
     {
         int shard = 0;
@@ -237,9 +189,6 @@ class Supervisor : public LineService
         uint64_t generation = 0;   ///< bumps per (re)spawn
         std::thread reader;
         std::string outbuf;        ///< unwritten forwarded bytes
-        /** Per-shard queue order and fair-share policy; payloads stay
-         *  in pending_. Survives the worker process across respawns. */
-        std::unique_ptr<AdmissionController> admission;
         std::set<uint64_t> inflight;
         uint64_t respawns = 0;
         uint64_t crashes = 0;
@@ -261,25 +210,18 @@ class Supervisor : public LineService
         uint64_t rssBytes = 0;     ///< last statm sample (0 = unknown)
     };
 
-    struct Outgoing
-    {
-        Respond respond;
-        std::string line;
-    };
+    void startBackend() override;
+    void stopBackend() override;
+    void admittedLocked(int shard, std::vector<Outgoing> &out) override;
+    std::pair<std::string, json::Value> stateBlock() const override;
+    void healthFields(json::Value &health,
+                      json::Value &admission) const override;
 
     void monitorLoop();
-    void metricsLoop();
-    void writeMetricsSnapshotNow();
 
     bool spawnWorkerLocked(Worker &w, std::vector<Outgoing> &out);
     void pumpWorkerLocked(Worker &w, std::vector<Outgoing> &out);
     void flushOutbufLocked(Worker &w);
-
-    /** Answer entries the shard controller dropped at pop time:
-     *  deadline-exceeded (expired in queue) or overloaded/queue-aged. */
-    void answerDropsLocked(Worker &w,
-                           const std::vector<AdmissionDrop> &drops,
-                           std::vector<Outgoing> &out);
 
     /** Start a graceful recycle: stop forwarding, drain in-flight,
      *  then EOF the pipe so the worker exits 0 (zero requests lost). */
@@ -303,66 +245,32 @@ class Supervisor : public LineService
                                 std::vector<Outgoing> &out);
     void reapLocked(std::vector<Outgoing> &out);
 
-    /** Resolve one pending: respond `line`, count it, journal the
-     *  outcome. The caller removes the seq from worker containers. */
-    void finishLocked(uint64_t seq, const std::string &line,
-                      const std::string &outcome,
-                      std::atomic<uint64_t> &counter,
-                      std::vector<Outgoing> &out);
-    static void deliver(std::vector<Outgoing> &out);
-
     /** Park a dead worker's reader thread + fd; `joinRetired` joins
      *  the threads and only then closes the fds (no reuse races). */
     void retireReaderLocked(Worker &w);
     void joinRetired();
 
     int64_t effectiveDeadlineMs(const Request &req) const;
-    /** The `workers` array, dumped ("[{...},...]"). */
-    std::string workersDump() const;
+    /** The `workers` array. */
+    json::Value workersJson() const;
     /** Mirror summed worker cache counters into serve.cache.* gauges. */
     void publishCacheGaugesLocked();
 
     SupervisorOptions opts_;
-    std::unique_ptr<Journal> journal_;
 
-    /** Admitted-but-unanswered entries replayed from the previous
-     *  incarnation's journal (constructor; immutable afterwards). */
-    std::vector<JournalEntry> recovery_;
-
-    mutable std::mutex mu_;
-    std::condition_variable cv_;       ///< pending-set changes + ticks
+    // Guarded by the front's mu_.
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::map<uint64_t, Pending> pending_;
     std::map<pid_t, int> pidToShard_;
     std::vector<std::pair<std::thread, int>> retired_;
-    uint64_t seq_ = 0;
-    std::atomic<bool> stop_{false};
     int64_t lastJournalSyncMs_ = 0;
-
     /** SIGHUP rolling restart: shards still awaiting their turn. The
      *  next one starts only when every worker is up and none is
      *  recycling, so capacity dips by at most one shard. */
     std::deque<int> rollingQueue_;
     int64_t lastRssSampleMs_ = 0;
 
+    std::atomic<bool> stop_{false};
     std::thread monitor_;
-    /** Serializes drain(); the loser of a drain race blocks until the
-     *  winner has fully shut the workers down. */
-    std::mutex drainMutex_;
-    std::atomic<bool> draining_{false};
-    std::atomic<bool> drained_{false};
-    std::atomic<bool> started_{false};
-    int64_t startedAtMs_ = 0;
-
-    std::thread metricsThread_;
-    std::mutex metricsMutex_;
-    std::condition_variable metricsCv_;
-    bool metricsStop_ = false;
-    std::unique_ptr<std::ofstream> metricsOut_;
-    std::mutex metricsFileMutex_;
-
-    std::atomic<uint64_t> received_{0}, accepted_{0}, completed_{0},
-        shed_{0}, cancelled_{0}, errors_{0};
 };
 
 } // namespace serve

@@ -457,6 +457,7 @@ struct Options
     int workerFd = -1;            ///< --worker-fd (internal)
     int shard = -1;               ///< --shard (internal)
     std::string argv0;            ///< how this binary was invoked
+    std::vector<std::string> args;  ///< argv[1..], verbatim
 
     // serve result cache
     int64_t cacheEntries = -1;    ///< --cache-entries (-1 = default)
@@ -477,6 +478,7 @@ parseArgs(int argc, char **argv)
     Options opts;
     if (argc > 0)
         opts.argv0 = argv[0];
+    opts.args.assign(argv + std::min(argc, 1), argv + argc);
 
     // Flags taking a value, as "--flag V" or "--flag=V".
     const std::map<std::string, std::function<void(const std::string &)>>
@@ -1302,64 +1304,17 @@ cmdServe(const Options &opts)
             buf[n] = '\0';
             self = buf;
         }
-        std::vector<std::string> cmd = {self, "serve"};
-        auto flag = [&cmd](const std::string &name, int64_t v) {
-            cmd.push_back(name);
-            cmd.push_back(std::to_string(v));
-        };
-        if (opts.jobs > 0)
-            flag("--jobs", opts.jobs);
-        if (opts.queueCapacity > 0)
-            flag("--queue", opts.queueCapacity);
-        if (opts.deadlineMs > 0)
-            flag("--deadline-ms", opts.deadlineMs);
-        if (opts.maxIterations > 0)
-            flag("--max-iterations", opts.maxIterations);
-        if (opts.maxIrNodes > 0)
-            flag("--max-ir-nodes", opts.maxIrNodes);
-        if (opts.maxDeadlineMs > 0)
-            flag("--max-deadline-ms", opts.maxDeadlineMs);
-        if (opts.drainDeadlineMs > 0)
-            flag("--drain-deadline-ms", opts.drainDeadlineMs);
-        if (opts.retryAfterMs > 0)
-            flag("--retry-after-ms", opts.retryAfterMs);
-        if (opts.clientCap > 0)
-            flag("--client-cap", opts.clientCap);
-        if (opts.ageMs > 0)
-            flag("--age-ms", opts.ageMs);
-        // The workers run their own memory governors (soft pressure is
-        // handled in-process; hard pressure rides the heartbeat back).
-        if (opts.rssSoftMb > 0)
-            flag("--rss-soft-mb", opts.rssSoftMb);
-        if (opts.rssHardMb > 0)
-            flag("--rss-hard-mb", opts.rssHardMb);
-        if (opts.maxRequestBytes > 0)
-            flag("--max-request-bytes", opts.maxRequestBytes);
-        if (opts.allowFaults)
-            cmd.push_back("--allow-faults");
-        if (opts.noIncidents)
-            cmd.push_back("--no-incidents");
-        if (!opts.incidentsDir.empty()) {
-            cmd.push_back("--incidents-dir");
-            cmd.push_back(opts.incidentsDir);
-        }
-        if (!opts.caches.empty()) {
-            cmd.push_back("--caches");
-            cmd.push_back(opts.caches);
-        }
-        if (opts.noCache)
-            cmd.push_back("--no-cache");
-        if (opts.cacheEntries >= 0)
-            flag("--cache-entries", opts.cacheEntries);
-        if (opts.cacheBytes > 0)
-            flag("--cache-bytes", opts.cacheBytes);
-        if (!opts.cacheSnapshotDir.empty()) {
-            cmd.push_back("--cache-snapshot-dir");
-            cmd.push_back(opts.cacheSnapshotDir);
-            if (opts.cacheSnapshotIntervalMs > 0)
-                flag("--cache-snapshot-interval-ms",
-                     opts.cacheSnapshotIntervalMs);
-        }
+        // A worker runs this command's own arguments: the --worker-fd
+        // branch above returns before any front-only option (port,
+        // socket, metrics file, workers, journal, heartbeat) is read.
+        // Only the process-wide sinks stay with the front — a worker
+        // must not write into its trace file or print --stats onto
+        // the stdout that carries responses.
+        std::vector<std::string> cmd = {self};
+        for (const std::string &a : opts.args)
+            if (a != "--stats" && a != "--stats=json" && a != "--trace" &&
+                a.rfind("--trace=", 0) != 0)
+                cmd.push_back(a);
         supopts.workerCommand = std::move(cmd);
 
         serve::Supervisor supervisor(std::move(supopts));

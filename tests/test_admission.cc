@@ -54,7 +54,6 @@ smallQueue(size_t cap)
 {
     AdmissionOptions o;
     o.queueCapacity = cap;
-    o.publishGauges = false;
     return o;
 }
 

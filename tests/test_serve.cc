@@ -13,10 +13,19 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <netinet/in.h>
+#include <poll.h>
 #include <set>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "serve/breaker.hh"
 #include "serve/journal.hh"
@@ -1319,6 +1328,281 @@ TEST(Supervisor, SighupRollingRestartUnderLoadLosesNothing)
     ASSERT_TRUE(open.ok());
     EXPECT_TRUE(open.value().empty());
     std::remove(journalPath.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The real `memoria serve` binary: worker flags and socket transports
+
+/** Buffered line reader over a pipe or socket fd. */
+struct LineReader
+{
+    int fd = -1;
+    std::string buffer;
+
+    /** Next line (newline stripped); false on EOF or timeout. */
+    bool
+    next(std::string &line, int timeoutMs = 20000)
+    {
+        auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(timeoutMs);
+        for (;;) {
+            size_t pos = buffer.find('\n');
+            if (pos != std::string::npos) {
+                line = buffer.substr(0, pos);
+                buffer.erase(0, pos + 1);
+                return true;
+            }
+            int left = static_cast<int>(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    until - std::chrono::steady_clock::now())
+                    .count());
+            pollfd p{fd, POLLIN, 0};
+            if (left <= 0 || ::poll(&p, 1, left) <= 0)
+                return false;
+            char chunk[4096];
+            ssize_t n = ::read(fd, chunk, sizeof(chunk));
+            if (n <= 0)
+                return false;
+            buffer.append(chunk, static_cast<size_t>(n));
+        }
+    }
+};
+
+bool
+writeLine(int fd, const std::string &line)
+{
+    std::string data = line + "\n";
+    size_t off = 0;
+    while (off < data.size()) {
+        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+        if (n <= 0)
+            return false;
+        off += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+/** `memoria serve ARGS...` as a child with piped stdin and stdout. */
+struct ServeChild
+{
+    pid_t pid = -1;
+    int in = -1;
+    LineReader out;
+
+    explicit ServeChild(std::vector<std::string> args)
+    {
+        args.insert(args.begin(), {MEMORIA_BIN, "serve"});
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        int toChild[2], fromChild[2];
+        if (::pipe(toChild) != 0 || ::pipe(fromChild) != 0)
+            return;
+        pid = ::fork();
+        if (pid == 0) {
+            ::dup2(toChild[0], STDIN_FILENO);
+            ::dup2(fromChild[1], STDOUT_FILENO);
+            ::close(toChild[1]);
+            ::close(fromChild[0]);
+            ::execv(argv[0], argv.data());
+            _exit(127);
+        }
+        ::close(toChild[0]);
+        ::close(fromChild[1]);
+        in = toChild[1];
+        out.fd = fromChild[0];
+    }
+
+    ~ServeChild()
+    {
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+        if (in >= 0)
+            ::close(in);
+        if (out.fd >= 0)
+            ::close(out.fd);
+    }
+
+    /** Send one request line and read its response line. */
+    json::Value
+    roundTrip(const std::string &line)
+    {
+        EXPECT_TRUE(writeLine(in, line));
+        std::string response;
+        EXPECT_TRUE(out.next(response)) << "no response to " << line;
+        Result<json::Value> v = json::parse(response);
+        EXPECT_TRUE(v.ok()) << response;
+        return v.ok() ? v.value() : json::Value();
+    }
+
+    /** Exit status once the child exits, -1 after ~15 s. */
+    int
+    waitExit()
+    {
+        for (int i = 0; i < 750; ++i) {
+            int status = 0;
+            if (::waitpid(pid, &status, WNOHANG) == pid) {
+                pid = -1;
+                return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        return -1;
+    }
+};
+
+/** Two identical compound requests, one after the other, through a
+ *  one-worker supervisor; returns whether each carried cache_hit.
+ *  (Not analyze: its results report `degraded` — it starts at the
+ *  identity rung — and only ok/diag outcomes are cached.) */
+std::vector<bool>
+repeatedAnalyzeHits(const std::vector<std::string> &extraArgs)
+{
+    std::vector<std::string> args = {"--workers", "1", "--journal",
+                                      "none", "--no-incidents"};
+    args.insert(args.end(), extraArgs.begin(), extraArgs.end());
+    ServeChild serve(args);
+    std::vector<bool> hits;
+    for (const char *id : {"c1", "c2"}) {
+        json::Value v =
+            serve.roundTrip(requestLine(id, "compound", kSmallProgram));
+        EXPECT_EQ(v.getString("type"), "result");
+        hits.push_back(v.getBool("cache_hit", false));
+    }
+    ::close(serve.in);  // EOF: the supervisor drains and exits
+    serve.in = -1;
+    EXPECT_EQ(serve.waitExit(), 0);
+    return hits;
+}
+
+TEST(ServeCli, WorkerSideFlagsReachTheShardWorkers)
+{
+    // The supervisor itself has no result cache; --no-cache only has
+    // an effect if it is passed through to the worker process.
+    EXPECT_EQ(repeatedAnalyzeHits({"--no-cache"}),
+              (std::vector<bool>{false, false}))
+        << "--no-cache was dropped on the way to the worker";
+    EXPECT_EQ(repeatedAnalyzeHits({}), (std::vector<bool>{false, true}))
+        << "without --no-cache the repeat is a cache hit";
+}
+
+int
+connectTcp(int port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+int
+connectUnix(const std::string &path)
+{
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Serve over TCP and a Unix socket at once: two TCP connections and
+ *  one Unix connection send interleaved work; each id is answered
+ *  exactly once on its own connection, SIGTERM exits 0, and the
+ *  socket file is gone afterwards. */
+void
+checkSocketTransports(const std::vector<std::string> &extraArgs)
+{
+    const std::string sock =
+        (std::filesystem::temp_directory_path() /
+         ("memoria_sock_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    std::vector<std::string> args = {"--port", "0", "--socket", sock,
+                                      "--journal", "none",
+                                      "--no-incidents"};
+    args.insert(args.end(), extraArgs.begin(), extraArgs.end());
+    ServeChild serve(args);
+
+    std::string line;
+    ASSERT_TRUE(serve.out.next(line)) << "no listening line";
+    const std::string tcpPrefix = "listening tcp 127.0.0.1:";
+    ASSERT_EQ(line.rfind(tcpPrefix, 0), 0u) << line;
+    const int port = std::atoi(line.c_str() + tcpPrefix.size());
+    ASSERT_TRUE(serve.out.next(line));
+    ASSERT_EQ(line, "listening unix " + sock);
+
+    std::vector<LineReader> conns(3);
+    conns[0].fd = connectTcp(port);
+    conns[1].fd = connectTcp(port);
+    conns[2].fd = connectUnix(sock);
+    for (const LineReader &c : conns)
+        ASSERT_GE(c.fd, 0) << "cannot connect";
+
+    const int kPerConn = 6;
+    for (int i = 0; i < kPerConn; ++i)
+        for (size_t c = 0; c < conns.size(); ++c) {
+            const std::string id =
+                "c" + std::to_string(c) + "-" + std::to_string(i);
+            ASSERT_TRUE(writeLine(
+                conns[c].fd,
+                i == 0 ? "{\"id\":" + json::quote(id) +
+                             ",\"kind\":\"health\"}"
+                       : requestLine(id, "analyze",
+                                     shardProgram(int(c) * 10 + i))));
+        }
+
+    for (size_t c = 0; c < conns.size(); ++c) {
+        std::map<std::string, int> perId;
+        for (int i = 0; i < kPerConn; ++i) {
+            ASSERT_TRUE(conns[c].next(line))
+                << "connection " << c << " got " << i << " of "
+                << kPerConn << " responses";
+            Result<json::Value> v = json::parse(line);
+            ASSERT_TRUE(v.ok()) << line;
+            const std::string type = v.value().getString("type");
+            EXPECT_TRUE(type == "result" || type == "health") << line;
+            ++perId[v.value().getString("id")];
+        }
+        ASSERT_EQ(perId.size(), static_cast<size_t>(kPerConn));
+        for (const auto &[id, n] : perId) {
+            EXPECT_EQ(id.rfind("c" + std::to_string(c) + "-", 0), 0u)
+                << id << " answered on connection " << c;
+            EXPECT_EQ(n, 1) << "duplicate response for " << id;
+        }
+    }
+
+    ASSERT_EQ(::kill(serve.pid, SIGTERM), 0);
+    EXPECT_EQ(serve.waitExit(), 0) << "SIGTERM must drain and exit 0";
+    for (LineReader &c : conns) {
+        EXPECT_FALSE(c.next(line, 2000)) << "stray line: " << line;
+        ::close(c.fd);
+    }
+    EXPECT_FALSE(std::filesystem::exists(sock))
+        << "the unix socket must be unlinked on shutdown";
+}
+
+TEST(ServeCli, SocketTransportsSingleProcess)
+{
+    checkSocketTransports({});
+}
+
+TEST(ServeCli, SocketTransportsSupervised)
+{
+    checkSocketTransports({"--workers", "2"});
 }
 
 #endif  // MEMORIA_BIN
