@@ -8,7 +8,7 @@
  * like the paper's cost model, but measured rather than predicted.
  */
 
-#include "cachesim/reuse.hh"
+#include "cachesim/sweep.hh"
 #include "common.hh"
 #include "interp/interp.hh"
 #include "suite/kernels.hh"
@@ -16,15 +16,6 @@
 
 namespace memoria {
 namespace {
-
-ReuseDistanceAnalyzer
-profile(Program &p)
-{
-    ReuseDistanceAnalyzer rd(32);
-    Interpreter interp(p);
-    interp.run(&rd);
-    return rd;
-}
 
 int
 benchMain()
@@ -34,8 +25,13 @@ benchMain()
     Program opt = orig.clone();
     compoundTransform(opt, paperModel());
 
-    ReuseDistanceAnalyzer r0 = profile(orig);
-    ReuseDistanceAnalyzer r1 = profile(opt);
+    // Reuse-only sweeps: no set-associative configs, one pass each.
+    const SweepReuseOptions reuse{true, 32};
+    MultiCacheSim s0({}, reuse), s1({}, reuse);
+    Interpreter(orig).run(&s0);
+    Interpreter(opt).run(&s1);
+    const ReuseDistanceAnalyzer &r0 = *s0.reuse();
+    const ReuseDistanceAnalyzer &r1 = *s1.reuse();
 
     banner("Reuse-distance histogram: matmul IKJ vs optimized (N=48)");
     TextTable t({"distance (lines)", "original", "optimized",

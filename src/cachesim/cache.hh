@@ -61,23 +61,15 @@ struct CacheStats
     void checkConsistent() const;
 };
 
-/** Interface for components observing the memory reference stream. */
-class MemoryListener
-{
-  public:
-    virtual ~MemoryListener() = default;
-
-    /** One scalar access of `size` bytes at virtual address `addr`. */
-    virtual void access(uint64_t addr, int size, bool isWrite) = 0;
-};
-
 /** A single-level set-associative LRU cache. */
-class Cache : public MemoryListener
+class Cache
 {
   public:
     explicit Cache(CacheConfig config);
 
-    void access(uint64_t addr, int size, bool isWrite) override;
+    /** One scalar access of `size` bytes at virtual address `addr`:
+     *  probe() plus optional trace sampling. */
+    void access(uint64_t addr, int size, bool isWrite);
 
     /** Probe one address; returns true on hit. Updates LRU state. */
     bool probe(uint64_t addr);

@@ -3,7 +3,7 @@
  * Two-level cache hierarchy.
  *
  * Section 1.1 notes that "higher degrees of tiling can be applied to
- * exploit multi-level caches"; this listener models an L1 backed by an
+ * exploit multi-level caches"; this class models an L1 backed by an
  * L2 so those experiments can be run. L2 sees only L1 misses.
  */
 
@@ -15,7 +15,7 @@
 namespace memoria {
 
 /** An L1 cache backed by an L2; accesses filter through. */
-class CacheHierarchy : public MemoryListener
+class CacheHierarchy
 {
   public:
     CacheHierarchy(CacheConfig l1, CacheConfig l2)
@@ -24,7 +24,7 @@ class CacheHierarchy : public MemoryListener
     }
 
     void
-    access(uint64_t addr, int size, bool isWrite) override
+    access(uint64_t addr, int size, bool isWrite)
     {
         (void)size;
         (void)isWrite;

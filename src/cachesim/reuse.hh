@@ -17,22 +17,22 @@
 #ifndef MEMORIA_CACHESIM_REUSE_HH
 #define MEMORIA_CACHESIM_REUSE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
-#include "cachesim/cache.hh"
-
 namespace memoria {
 
 /** Streams a trace and accumulates the reuse-distance histogram. */
-class ReuseDistanceAnalyzer : public MemoryListener
+class ReuseDistanceAnalyzer
 {
   public:
     explicit ReuseDistanceAnalyzer(int lineBytes = 32);
 
-    void access(uint64_t addr, int size, bool isWrite) override;
+    /** One scalar access of `size` bytes at virtual address `addr`. */
+    void access(uint64_t addr, int size, bool isWrite);
 
     /** Histogram bucket counts: bucket b holds accesses with distance
      *  in [2^b, 2^(b+1)); bucket 0 holds distances 0 and 1. */

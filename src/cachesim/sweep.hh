@@ -13,12 +13,13 @@
  * Distance Analysis").
  *
  * Accesses arrive in batches (AccessBatchSink) rather than one virtual
- * call per reference: the interpreter fills a fixed buffer and flushes
- * it in chunks, so the per-access cost inside the simulator is a plain
- * array walk. Each per-config cache is the ordinary `Cache` — the same
- * code path as a standalone run — which is what makes the sweep's
- * counters bitwise-identical to independent per-config simulations
- * (asserted in tests/test_cachesim.cc).
+ * call per reference — the only way the interpreter delivers its
+ * access stream. It fills a fixed buffer and flushes it in chunks, so
+ * the per-access cost inside the simulator is a plain array walk.
+ * Each per-config cache is the ordinary `Cache`, which is what makes
+ * the sweep's counters bitwise-identical to standalone per-config
+ * simulations (asserted in tests/test_cachesim.cc against a recorded
+ * stream fed one Cache::access at a time).
  */
 
 #ifndef MEMORIA_CACHESIM_SWEEP_HH
@@ -52,12 +53,13 @@ class AccessBatchSink
 };
 
 /**
- * MemoryListener adapter that buffers accesses into a fixed-capacity
- * array and flushes it to an AccessBatchSink in chunks. The producer
- * (interpreter) pays one append per access and one virtual call per
- * batch; the buffer is allocated once up front, never per access.
+ * Buffers accesses into a fixed-capacity array and flushes it to an
+ * AccessBatchSink in chunks; the tree-walking interpreter appends
+ * through it (the tape fills its own buffer). The producer pays one
+ * append per access and one virtual call per batch; the buffer is
+ * allocated once up front, never per access.
  */
-class BatchingListener final : public MemoryListener
+class BatchingListener final
 {
   public:
     static constexpr size_t kDefaultBatch = 4096;
@@ -66,7 +68,7 @@ class BatchingListener final : public MemoryListener
                               size_t capacity = kDefaultBatch);
 
     void
-    access(uint64_t addr, int size, bool isWrite) override
+    access(uint64_t addr, int size, bool isWrite)
     {
         buf_.push_back({addr, static_cast<uint32_t>(size), isWrite});
         if (buf_.size() == capacity_)
@@ -74,7 +76,7 @@ class BatchingListener final : public MemoryListener
     }
 
     /** Drain the buffer. Callers must flush after the final access
-     *  (runBatched does). Safe on an empty buffer. */
+     *  (Interpreter::run does). Safe on an empty buffer. */
     void flush();
 
   private:

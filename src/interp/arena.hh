@@ -20,8 +20,8 @@
  * per-element allocation beyond the pool vectors themselves.
  */
 
-#ifndef MEMORIA_INTERP_ARENA_HH
-#define MEMORIA_INTERP_ARENA_HH
+#ifndef MEMORIA_SRC_INTERP_ARENA_HH
+#define MEMORIA_SRC_INTERP_ARENA_HH
 
 #include <cstdint>
 #include <unordered_map>
@@ -194,4 +194,4 @@ class ProgramArena
 
 } // namespace memoria
 
-#endif // MEMORIA_INTERP_ARENA_HH
+#endif // MEMORIA_SRC_INTERP_ARENA_HH

@@ -1,7 +1,6 @@
 #include "interp/interp.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -22,9 +21,6 @@ harness::FaultSite gInterpFault("interp.run", /*supportsDiag=*/true);
 /** Poll the budget token every this many loop iterations (shared with
  *  the tape path via kInterpPollStride in interp/tape.hh). */
 constexpr uint64_t kPollStride = kInterpPollStride;
-
-/** Process-wide default engine; -1 until first resolved. */
-std::atomic<int> gDefaultMode{-1};
 
 /** Deterministic small integer-valued initial data. Using integers in a
  *  narrow range keeps floating-point arithmetic exact, so reordered
@@ -48,37 +44,6 @@ constexpr uint64_t kBaseAddress = 0x100000;
 using Fault = interp_detail::Fault;
 
 } // namespace
-
-InterpMode
-defaultInterpMode()
-{
-    int m = gDefaultMode.load(std::memory_order_relaxed);
-    if (m >= 0)
-        return static_cast<InterpMode>(m);
-    InterpMode resolved = InterpMode::Tape;
-    if (const char *env = std::getenv("MEMORIA_INTERP"))
-        if (std::optional<InterpMode> parsed = parseInterpMode(env))
-            resolved = *parsed;
-    gDefaultMode.store(static_cast<int>(resolved),
-                       std::memory_order_relaxed);
-    return resolved;
-}
-
-void
-setDefaultInterpMode(InterpMode mode)
-{
-    gDefaultMode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-std::optional<InterpMode>
-parseInterpMode(const std::string &name)
-{
-    if (name == "tree")
-        return InterpMode::Tree;
-    if (name == "tape")
-        return InterpMode::Tape;
-    return std::nullopt;
-}
 
 const char *
 interpModeName(InterpMode mode)
@@ -131,7 +96,7 @@ markNodeArrays(const Node &n, std::vector<uint8_t> &mark)
 } // namespace
 
 Interpreter::Interpreter(const Program &prog)
-    : prog_(prog), mode_(defaultInterpMode())
+    : prog_(prog)
 {
     env_.assign(prog_.vars.size(), 0);
     for (size_t v = 0; v < prog_.vars.size(); ++v)
@@ -315,7 +280,7 @@ Interpreter::paramValue(VarId v) const
 }
 
 uint64_t
-Interpreter::elementIndex(const ArrayRef &ref, MemoryListener *listener)
+Interpreter::elementIndex(const ArrayRef &ref, BatchingListener *out)
 {
     if (ref.array < 0 ||
         static_cast<size_t>(ref.array) >= data_.size())
@@ -336,7 +301,7 @@ Interpreter::elementIndex(const ArrayRef &ref, MemoryListener *listener)
         if (ref.subs[k].isAffine())
             s = evalAffine(ref.subs[k].affine);
         else
-            s = std::llround(evalValue(ref.subs[k].opaque, listener));
+            s = std::llround(evalValue(ref.subs[k].opaque, out));
         if (s < 1 || s > ext[k])
             fault("interp.oob",
                   "subscript " + std::to_string(k + 1) + " = " +
@@ -350,7 +315,7 @@ Interpreter::elementIndex(const ArrayRef &ref, MemoryListener *listener)
 }
 
 double
-Interpreter::evalValue(const ValuePtr &v, MemoryListener *listener)
+Interpreter::evalValue(const ValuePtr &v, BatchingListener *out)
 {
     MEMORIA_ASSERT(v != nullptr, "null value");
     switch (v->op) {
@@ -359,42 +324,44 @@ Interpreter::evalValue(const ValuePtr &v, MemoryListener *listener)
       case ValOp::Index:
         return static_cast<double>(evalAffine(v->index));
       case ValOp::Load: {
-        uint64_t idx = elementIndex(v->load, listener);
+        uint64_t idx = elementIndex(v->load, out);
         const ArrayDecl &decl = prog_.arrayDecl(v->load.array);
         if (!decl.isRegister) {
             ++stats_.memRefs;
-            if (listener)
-                listener->access(bases_[v->load.array] +
-                                     idx * decl.elemSize,
-                                 decl.elemSize, false);
+            if (out)
+                out->access(bases_[v->load.array] + idx * decl.elemSize,
+                            decl.elemSize, false);
         }
         return data_[v->load.array][idx];
       }
-      case ValOp::Add:
-        return evalValue(v->kids[0], listener) +
-               evalValue(v->kids[1], listener);
-      case ValOp::Sub:
-        return evalValue(v->kids[0], listener) -
-               evalValue(v->kids[1], listener);
-      case ValOp::Mul:
-        return evalValue(v->kids[0], listener) *
-               evalValue(v->kids[1], listener);
-      case ValOp::Div:
-        return evalValue(v->kids[0], listener) /
-               evalValue(v->kids[1], listener);
       case ValOp::Neg:
-        return -evalValue(v->kids[0], listener);
+        return -evalValue(v->kids[0], out);
       case ValOp::Sqrt:
-        return std::sqrt(evalValue(v->kids[0], listener));
+        return std::sqrt(evalValue(v->kids[0], out));
+      default:
+        break;
+    }
+    // Binary ops. C++ leaves the evaluation order of operands and call
+    // arguments unspecified, so sequence kids[0] (and its loads)
+    // before kids[1] explicitly — the tape's order.
+    double lhs = evalValue(v->kids[0], out);
+    double rhs = evalValue(v->kids[1], out);
+    switch (v->op) {
+      case ValOp::Add:
+        return lhs + rhs;
+      case ValOp::Sub:
+        return lhs - rhs;
+      case ValOp::Mul:
+        return lhs * rhs;
+      case ValOp::Div:
+        return lhs / rhs;
       case ValOp::Min:
-        return std::min(evalValue(v->kids[0], listener),
-                        evalValue(v->kids[1], listener));
+        return std::min(lhs, rhs);
       case ValOp::Max:
-        return std::max(evalValue(v->kids[0], listener),
-                        evalValue(v->kids[1], listener));
+        return std::max(lhs, rhs);
       case ValOp::IMod: {
-        int64_t a = std::llround(evalValue(v->kids[0], listener));
-        int64_t b = std::llround(evalValue(v->kids[1], listener));
+        int64_t a = std::llround(lhs);
+        int64_t b = std::llround(rhs);
         if (b == 0)
             fault("interp.mod_zero", "MOD by zero");
         int64_t m = a % b;
@@ -402,32 +369,34 @@ Interpreter::evalValue(const ValuePtr &v, MemoryListener *listener)
             m += std::abs(b);
         return static_cast<double>(m);
       }
+      default:
+        break;
     }
     panic("unhandled value op");
 }
 
 void
-Interpreter::execStmt(const Statement &s, MemoryListener *listener)
+Interpreter::execStmt(const Statement &s, BatchingListener *out)
 {
     curStmt_ = s.id;
-    double value = evalValue(s.rhs, listener);
-    uint64_t idx = elementIndex(s.write, listener);
+    double value = evalValue(s.rhs, out);
+    uint64_t idx = elementIndex(s.write, out);
     const ArrayDecl &decl = prog_.arrayDecl(s.write.array);
     if (!decl.isRegister) {
         ++stats_.memRefs;
-        if (listener)
-            listener->access(bases_[s.write.array] + idx * decl.elemSize,
-                             decl.elemSize, true);
+        if (out)
+            out->access(bases_[s.write.array] + idx * decl.elemSize,
+                        decl.elemSize, true);
     }
     data_[s.write.array][idx] = value;
     ++stats_.stmtsExecuted;
 }
 
 void
-Interpreter::execNode(const Node &n, MemoryListener *listener)
+Interpreter::execNode(const Node &n, BatchingListener *out)
 {
     if (n.isStmt()) {
-        execStmt(n.stmt, listener);
+        execStmt(n.stmt, out);
         return;
     }
     if (n.step == 0)
@@ -442,7 +411,7 @@ Interpreter::execNode(const Node &n, MemoryListener *listener)
                 harness::chargeIterations(kPollStride, "interp.loop");
             env_[n.var] = v;
             for (const auto &kid : n.body)
-                execNode(*kid, listener);
+                execNode(*kid, out);
         }
     } else {
         for (int64_t v = lb; v >= ub; v += n.step) {
@@ -450,28 +419,14 @@ Interpreter::execNode(const Node &n, MemoryListener *listener)
                 harness::chargeIterations(kPollStride, "interp.loop");
             env_[n.var] = v;
             for (const auto &kid : n.body)
-                execNode(*kid, listener);
+                execNode(*kid, out);
         }
     }
     loopStack_.pop_back();
 }
 
 Status
-Interpreter::run(MemoryListener *listener)
-{
-    return runInternal(listener, nullptr);
-}
-
-Status
-Interpreter::runBatched(AccessBatchSink *sink)
-{
-    if (!sink)
-        return run(nullptr);
-    return runInternal(nullptr, sink);
-}
-
-Status
-Interpreter::runInternal(MemoryListener *listener, AccessBatchSink *sink)
+Interpreter::run(AccessBatchSink *sink)
 {
     obs::TraceScope span("interp", "run");
     span.arg("program", prog_.name);
@@ -493,25 +448,19 @@ Interpreter::runInternal(MemoryListener *listener, AccessBatchSink *sink)
         if (!tape_)
             tape_ = std::make_unique<Tape>(prog_, *this);
         try {
-            if (sink)
-                tape_->runBatched(*this, sink);
-            else
-                tape_->run(*this, listener);
+            tape_->run(*this, sink);
         } catch (const Fault &f) {
             st = Status::err(f.diag);
         }
     } else {
-        // Tree walker: batched sinks go through the buffering adapter
-        // (one virtual call per access). Kept verbatim as the
-        // differential reference for the tape.
+        // Tree walker, the differential reference for the tape: it
+        // appends through the buffering adapter.
         std::optional<BatchingListener> batcher;
-        if (sink) {
+        if (sink)
             batcher.emplace(*sink);
-            listener = &*batcher;
-        }
         try {
             for (const auto &n : prog_.body)
-                execNode(*n, listener);
+                execNode(*n, batcher ? &*batcher : nullptr);
         } catch (const Fault &f) {
             st = Status::err(f.diag);
         }
@@ -597,34 +546,14 @@ Result<RunResult>
 tryRunWithCache(const Program &prog, const CacheConfig &config,
                 const MachineModel &machine)
 {
-    obs::TraceScope span("interp", "run_with_cache");
-    span.arg("program", prog.name);
-    span.arg("cache", config.name);
-
-    Interpreter interp(prog);
-    Cache cache(config);
-    Status st = interp.run(&cache);
-    if (!st.ok()) {
-        if (span.active())
-            span.arg("fault", st.diag().str());
-        return Result<RunResult>::err(st.diag());
-    }
-    cache.publishStats();
-
+    Result<SweepResult> sweep = tryRunWithCaches(prog, {config}, machine);
+    if (!sweep.ok())
+        return Result<RunResult>::err(sweep.diag());
     RunResult r;
-    r.exec = interp.stats();
-    r.cache = cache.stats();
-    r.cycles = machine.cyclesPerStmt * r.exec.stmtsExecuted +
-               machine.cyclesPerRef * r.exec.memRefs +
-               machine.missPenalty * r.cache.misses;
-    r.checksum = interp.checksum();
-    if (span.active()) {
-        span.arg("accesses", r.cache.accesses);
-        span.arg("hits", r.cache.hits);
-        span.arg("misses", r.cache.misses);
-        span.arg("evictions", r.cache.evictions);
-        span.arg("cycles", r.cycles);
-    }
+    r.exec = sweep.value().exec;
+    r.cache = sweep.value().cache.front();
+    r.cycles = sweep.value().cycles.front();
+    r.checksum = sweep.value().checksum;
     return r;
 }
 
@@ -650,7 +579,7 @@ tryRunWithCaches(const Program &prog,
 
     Interpreter interp(prog);
     MultiCacheSim sim(configs);
-    Status st = interp.runBatched(&sim);
+    Status st = interp.run(&sim);
     if (!st.ok()) {
         if (span.active())
             span.arg("fault", st.diag().str());

@@ -3,8 +3,9 @@
  * Interpreter for the loop-nest IR.
  *
  * Executes a Program over real column-major arrays, streaming every
- * scalar memory access to an optional MemoryListener (typically a cache
- * simulator). The interpreter serves three purposes:
+ * scalar memory access in batches to an optional AccessBatchSink
+ * (typically the cache sweep, cachesim/sweep.hh). The interpreter
+ * serves three purposes:
  *
  *  1. semantic validation — the test suite requires transformed
  *     programs to produce bit-identical array contents;
@@ -13,8 +14,8 @@
  *     for the paper's wall-clock numbers in Tables 1 and 3.
  */
 
-#ifndef MEMORIA_INTERP_INTERP_HH
-#define MEMORIA_INTERP_INTERP_HH
+#ifndef MEMORIA_SRC_INTERP_INTERP_HH
+#define MEMORIA_SRC_INTERP_INTERP_HH
 
 #include <cstdint>
 #include <map>
@@ -33,29 +34,19 @@ namespace memoria {
 class Tape;
 
 /**
- * Interpreter execution engine. `Tape` (the default) compiles each
- * program binding once into a flat bytecode tape (interp/tape.hh) and
- * dispatches over it; `Tree` walks the pointer-based IR directly. Both
- * produce bit-identical results — array contents, ExecStats, access
- * streams, Diags — which the `memoria diffinterp` CI job enforces; the
- * tree walker is retained as the differential reference.
+ * Interpreter execution engine. `Tape`, the only engine production
+ * runs, compiles each program binding once into a flat bytecode tape
+ * (interp/tape.hh) and dispatches over it. `Tree` walks the
+ * pointer-based IR directly; it is the differential reference, reached
+ * only through Interpreter::setMode. Both produce bit-identical results
+ * — array contents, ExecStats, access streams, Diags — which
+ * Tape.SweepParityAcrossModes (tests/test_interp_tape.cc) enforces.
  */
 enum class InterpMode
 {
     Tree,
     Tape,
 };
-
-/** Process-wide default mode: an explicit setDefaultInterpMode() call
- *  wins, else the MEMORIA_INTERP environment variable ("tree"/"tape"),
- *  else Tape. */
-InterpMode defaultInterpMode();
-
-/** Override the process-wide default (the CLI's --interp flag). */
-void setDefaultInterpMode(InterpMode mode);
-
-/** Parse "tree"/"tape"; nullopt for anything else. */
-std::optional<InterpMode> parseInterpMode(const std::string &name);
 
 /** "tree" or "tape". */
 const char *interpModeName(InterpMode mode);
@@ -84,7 +75,7 @@ class Interpreter
     ~Interpreter();
 
     /** Select the execution engine for this instance (before run());
-     *  new instances start from defaultInterpMode(). */
+     *  new instances run the tape. */
     void setMode(InterpMode mode);
     InterpMode mode() const { return mode_; }
 
@@ -98,23 +89,20 @@ class Interpreter
     void setInitSeed(uint64_t seed);
 
     /**
-     * Execute the whole program, reporting accesses to `listener`.
+     * Execute the whole program, delivering accesses to `sink` (null
+     * for none) in batches (cachesim/sweep.hh). The trailing partial
+     * batch is flushed even when the run faults, so the sink always
+     * sees the stream up to the fault.
      *
      * Program-dependent faults — out-of-bounds subscripts, rank
      * mismatches, MOD by zero — stop execution and come back as a
      * Diag; they are properties of the *input*, not internal bugs, so
      * they must not terminate the process (docs/ROBUSTNESS.md).
      */
-    Status run(MemoryListener *listener = nullptr);
+    Status run(AccessBatchSink *sink = nullptr);
 
-    /**
-     * Execute the whole program, delivering accesses to `sink` in
-     * batches (cachesim/sweep.hh) instead of one virtual call per
-     * reference. The trailing partial batch is flushed even when the
-     * run faults, so the sink's counters always reflect the stream up
-     * to the fault. Null sink behaves like run(nullptr).
-     */
-    Status runBatched(AccessBatchSink *sink);
+    /** Same as run(sink). */
+    Status runBatched(AccessBatchSink *sink) { return run(sink); }
 
     /** Raw data of one array (valid after construction). Contents are
      *  materialized lazily; the first read fills the buffer with the
@@ -143,7 +131,7 @@ class Interpreter
 
     /** The compiled tape for the current binding (tape mode only;
      *  compiled lazily on first run). Exposed for the disassembly
-     *  golden test and the diffinterp tooling. */
+     *  golden test. */
     const Tape &compiledTape();
 
   private:
@@ -160,12 +148,11 @@ class Interpreter
     {
         return static_cast<int>(extentOff_[a + 1] - extentOff_[a]);
     }
-    Status runInternal(MemoryListener *listener, AccessBatchSink *sink);
-    void execNode(const Node &n, MemoryListener *listener);
-    void execStmt(const Statement &s, MemoryListener *listener);
-    double evalValue(const ValuePtr &v, MemoryListener *listener);
+    void execNode(const Node &n, BatchingListener *out);
+    void execStmt(const Statement &s, BatchingListener *out);
+    double evalValue(const ValuePtr &v, BatchingListener *out);
     int64_t evalAffine(const AffineExpr &e) const;
-    uint64_t elementIndex(const ArrayRef &ref, MemoryListener *listener);
+    uint64_t elementIndex(const ArrayRef &ref, BatchingListener *out);
     [[noreturn]] void fault(std::string code, std::string msg) const;
     std::string loopContext() const;
 
@@ -193,7 +180,7 @@ class Interpreter
     std::vector<VarId> loopStack_;        ///< active loops, outer first
     int curStmt_ = -1;                    ///< executing statement id
     bool ran_ = false;
-    InterpMode mode_;
+    InterpMode mode_ = InterpMode::Tape;
     std::unique_ptr<Tape> tape_;          ///< lazily compiled binding
 };
 
@@ -206,8 +193,9 @@ struct RunResult
     uint64_t checksum = 0;
 };
 
-/** Run a program against one cache configuration. Panics on a program
- *  fault; use tryRunWithCache for untrusted programs. */
+/** Run a program against one cache configuration (a one-config
+ *  runWithCaches). Panics on a program fault; use tryRunWithCache for
+ *  untrusted programs. */
 RunResult runWithCache(const Program &prog, const CacheConfig &config,
                        const MachineModel &machine = MachineModel{});
 
@@ -231,8 +219,8 @@ struct SweepResult
 /**
  * Run a program once and simulate every configuration in `configs`
  * from that single interpreter pass (cachesim/sweep.hh). Counters are
- * identical to per-config runWithCache calls; the interpreter — the
- * expensive part — executes once instead of N times. Panics on a
+ * identical to standalone per-config simulations; the interpreter —
+ * the expensive part — executes once instead of N times. Panics on a
  * program fault; use tryRunWithCaches for untrusted programs.
  */
 SweepResult runWithCaches(const Program &prog,
@@ -253,4 +241,4 @@ Result<uint64_t> tryRunChecksum(const Program &prog);
 
 } // namespace memoria
 
-#endif // MEMORIA_INTERP_INTERP_HH
+#endif // MEMORIA_SRC_INTERP_INTERP_HH

@@ -27,16 +27,6 @@ struct NullEmitter
     void access(uint64_t, uint32_t, bool) {}
 };
 
-struct ListenerEmitter
-{
-    MemoryListener *listener;
-    void
-    access(uint64_t addr, uint32_t size, bool isWrite)
-    {
-        listener->access(addr, static_cast<int>(size), isWrite);
-    }
-};
-
 /** Fills a fixed AccessRecord array and hands full batches to the
  *  sink: one store per access, one virtual call per 4096. */
 struct BufferEmitter
@@ -727,29 +717,22 @@ Tape::execute(Interpreter &interp, Emitter &em)
 }
 
 void
-Tape::run(Interpreter &interp, MemoryListener *listener)
+Tape::run(Interpreter &interp, AccessBatchSink *sink)
 {
-    if (!listener) {
+    if (!sink) {
         NullEmitter em;
         execute(interp, em);
         return;
     }
-    ListenerEmitter em{listener};
-    execute(interp, em);
-}
-
-void
-Tape::runBatched(Interpreter &interp, AccessBatchSink *sink)
-{
     if (batchBuf_.size() < BatchingListener::kDefaultBatch)
         batchBuf_.resize(BatchingListener::kDefaultBatch);
     BufferEmitter em{batchBuf_.data(), sink};
     try {
         execute(interp, em);
     } catch (const interp_detail::Fault &) {
-        // Match BatchingListener semantics: the sink sees the stream
-        // up to the fault. Cancellation, by contrast, propagates
-        // without a flush (same as the tree path).
+        // Match the tree walker: the sink sees the stream up to the
+        // fault. Cancellation, by contrast, propagates without a flush
+        // (same as the tree path).
         em.flush();
         throw;
     }

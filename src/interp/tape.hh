@@ -23,20 +23,22 @@
  *    per-dimension ops that reproduce the tree walker's fault codes,
  *    messages and fault *order* exactly;
  *  - **accesses stream straight into the batch buffer**: execution is
- *    templated over an emitter policy, so `runBatched` appends to an
+ *    templated over an emitter policy, so `run` appends to an
  *    AccessRecord array and flushes whole batches to the
- *    AccessBatchSink — no virtual call per access, no allocation.
+ *    AccessBatchSink — no virtual call per access, no allocation (a
+ *    run without a sink uses a no-op emitter).
  *
  * Semantics are bit-identical to the tree walker by construction:
  * identical ExecStats, identical access streams (same order, same
  * flush-on-fault behaviour), identical Diag codes and messages, and
- * identical budget polling on the 4096-iteration stride. The CI
- * differential job (`memoria diffinterp`) and tests/test_interp_tape.cc
- * enforce this for the corpus, the kernels and fuzz programs.
+ * identical budget polling on the 4096-iteration stride.
+ * Tape.SweepParityAcrossModes (tests/test_interp_tape.cc) enforces this
+ * for the kernels, the corpus and 500 fuzz programs, down to a hash of
+ * the full access stream.
  */
 
-#ifndef MEMORIA_INTERP_TAPE_HH
-#define MEMORIA_INTERP_TAPE_HH
+#ifndef MEMORIA_SRC_INTERP_TAPE_HH
+#define MEMORIA_SRC_INTERP_TAPE_HH
 
 #include <cstdint>
 #include <string>
@@ -80,15 +82,11 @@ class Tape
     /** Compile `prog` against the interpreter's current binding. */
     Tape(const Program &prog, const Interpreter &interp);
 
-    /** Execute, reporting accesses to `listener` (null for none).
-     *  Throws interp_detail::Fault on program faults. */
-    void run(Interpreter &interp, MemoryListener *listener);
-
-    /** Execute, streaming accesses to `sink` in batches. The trailing
-     *  partial batch is flushed even when a fault unwinds (matching
-     *  BatchingListener-based runs); cooperative cancellation is not
-     *  intercepted. Throws interp_detail::Fault on program faults. */
-    void runBatched(Interpreter &interp, AccessBatchSink *sink);
+    /** Execute, streaming accesses to `sink` in batches (null for
+     *  none). The trailing partial batch is flushed even when a fault
+     *  unwinds (matching the tree walker); cooperative cancellation is
+     *  not intercepted. Throws interp_detail::Fault on program faults. */
+    void run(Interpreter &interp, AccessBatchSink *sink);
 
     /** Human-readable listing of the whole tape (golden-tested). */
     std::string disassemble() const;
@@ -245,4 +243,4 @@ class Tape
 
 } // namespace memoria
 
-#endif // MEMORIA_INTERP_TAPE_HH
+#endif // MEMORIA_SRC_INTERP_TAPE_HH

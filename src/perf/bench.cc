@@ -191,7 +191,7 @@ benchSuite()
         ropts.lineBytes = 32;
         MultiCacheSim sim({CacheConfig::i860()}, ropts);
         Interpreter interp(prog);
-        Status st = interp.runBatched(&sim);
+        Status st = interp.run(&sim);
         MEMORIA_ASSERT(st.ok(), "bench kernel faulted");
         c["accesses"] = sim.stats(0).accesses;
         c["reuse_warm"] = sim.reuse()->warmAccesses();

@@ -13,9 +13,6 @@
  *   memoria trace <program> [N]        Compound decision provenance
  *   memoria fuzz [--seed N] [--count K] [--jobs N]
  *                                      differential pipeline fuzzing
- *   memoria diffinterp [--seed N] [--count K]
- *                                      tree-vs-tape interpreter
- *                                      differential (CI hard gate)
  *   memoria batch [programs...]        resilient batch pipeline
  *   memoria serve [--port N] [--socket P]  long-running compile service
  *   memoria reduce <bundle|file>       re-minimize a failure offline
@@ -113,16 +110,19 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <fstream>
@@ -133,7 +133,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "cachesim/reuse.hh"
+#include "cachesim/sweep.hh"
 #include "driver/fuzzcheck.hh"
 #include "perf/bench.hh"
 #include "frontend/parser.hh"
@@ -331,14 +331,13 @@ cmdReuse(Program prog)
 {
     ModelParams params;
     OptimizedProgram opt = optimizeProgram(prog, params);
-    auto profile = [](Program &p) {
-        ReuseDistanceAnalyzer rd(32);
-        Interpreter interp(p);
-        interp.run(&rd);
-        return rd;
-    };
-    ReuseDistanceAnalyzer r0 = profile(opt.original);
-    ReuseDistanceAnalyzer r1 = profile(opt.transformed);
+    // Reuse-only sweeps: no set-associative configs, one pass each.
+    const SweepReuseOptions reuse{true, 32};
+    MultiCacheSim sim0({}, reuse), sim1({}, reuse);
+    Interpreter(opt.original).run(&sim0);
+    Interpreter(opt.transformed).run(&sim1);
+    const ReuseDistanceAnalyzer &r0 = *sim0.reuse();
+    const ReuseDistanceAnalyzer &r1 = *sim1.reuse();
     std::cout << "mean reuse distance: "
               << TextTable::num(r0.meanDistance(), 1) << " -> "
               << TextTable::num(r1.meanDistance(), 1) << " lines\n";
@@ -403,7 +402,6 @@ struct Options
     bool quiet = false;
     uint64_t fuzzSeed = 1;     ///< fuzz: --seed
     int fuzzCount = 100;       ///< fuzz: --count
-    std::string interp;        ///< --interp tree|tape (global)
 
     // batch
     bool batchAll = false;        ///< --all
@@ -472,6 +470,31 @@ struct Options
     bool topOnce = false;         ///< top: --once
 };
 
+/**
+ * Parse `text` as a whole decimal integer (a leading '-' allowed) into
+ * `out`. Returns false, leaving `out` alone, on an empty string,
+ * trailing garbage, or a value outside int64 or a signed `T`'s range;
+ * an unsigned `T` (the fuzz seed) takes a negative value modulo 2^64.
+ * Every numeric command-line value goes through here.
+ */
+template <class T>
+bool
+parseInteger(const std::string &text, T &out)
+{
+    int64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_signed_v<T>) {
+        if (v < std::numeric_limits<T>::min() ||
+            v > std::numeric_limits<T>::max())
+            return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -480,155 +503,64 @@ parseArgs(int argc, char **argv)
         opts.argv0 = argv[0];
     opts.args.assign(argv + std::min(argc, 1), argv + argc);
 
-    // Flags taking a value, as "--flag V" or "--flag=V".
-    const std::map<std::string, std::function<void(const std::string &)>>
-        valued = {
-            {"--seed",
-             [&](const std::string &v) {
-                 opts.fuzzSeed =
-                     static_cast<uint64_t>(std::atoll(v.c_str()));
-             }},
-            {"--count",
-             [&](const std::string &v) {
-                 opts.fuzzCount = std::atoi(v.c_str());
-             }},
-            {"--interp",
-             [&](const std::string &v) { opts.interp = v; }},
-            {"--jobs",
-             [&](const std::string &v) {
-                 opts.jobs = std::atoi(v.c_str());
-             }},
-            {"--deadline-ms",
-             [&](const std::string &v) {
-                 opts.deadlineMs = std::atoll(v.c_str());
-             }},
-            {"--max-iterations",
-             [&](const std::string &v) {
-                 opts.maxIterations = std::atoll(v.c_str());
-             }},
-            {"--max-ir-nodes",
-             [&](const std::string &v) {
-                 opts.maxIrNodes = std::atoll(v.c_str());
-             }},
-            {"--fault",
-             [&](const std::string &v) { opts.faultSpec = v; }},
-            {"--caches",
-             [&](const std::string &v) { opts.caches = v; }},
-            {"--reps",
-             [&](const std::string &v) {
-                 opts.benchReps = std::atoi(v.c_str());
-             }},
-            {"--warmup",
-             [&](const std::string &v) {
-                 opts.benchWarmup = std::atoi(v.c_str());
-             }},
-            {"--filter",
-             [&](const std::string &v) { opts.benchFilter = v; }},
-            {"--incidents-dir",
-             [&](const std::string &v) { opts.incidentsDir = v; }},
-            {"--max-checks",
-             [&](const std::string &v) {
-                 opts.maxChecks = std::atoi(v.c_str());
-             }},
-            {"--queue",
-             [&](const std::string &v) {
-                 opts.queueCapacity = std::atoi(v.c_str());
-             }},
-            {"--client-cap",
-             [&](const std::string &v) {
-                 opts.clientCap = std::atoll(v.c_str());
-             }},
-            {"--age-ms",
-             [&](const std::string &v) {
-                 opts.ageMs = std::atoll(v.c_str());
-             }},
-            {"--rss-soft-mb",
-             [&](const std::string &v) {
-                 opts.rssSoftMb = std::atoll(v.c_str());
-             }},
-            {"--rss-hard-mb",
-             [&](const std::string &v) {
-                 opts.rssHardMb = std::atoll(v.c_str());
-             }},
-            {"--max-requests-per-worker",
-             [&](const std::string &v) {
-                 opts.maxRequestsPerWorker = std::atoll(v.c_str());
-             }},
-            {"--max-deadline-ms",
-             [&](const std::string &v) {
-                 opts.maxDeadlineMs = std::atoll(v.c_str());
-             }},
-            {"--drain-deadline-ms",
-             [&](const std::string &v) {
-                 opts.drainDeadlineMs = std::atoll(v.c_str());
-             }},
-            {"--retry-after-ms",
-             [&](const std::string &v) {
-                 opts.retryAfterMs = std::atoll(v.c_str());
-             }},
-            {"--port",
-             [&](const std::string &v) {
-                 opts.port = std::atoi(v.c_str());
-             }},
-            {"--host",
-             [&](const std::string &v) { opts.host = v; }},
-            {"--socket",
-             [&](const std::string &v) { opts.socketPath = v; }},
-            {"--metrics-port",
-             [&](const std::string &v) {
-                 opts.metricsPort = std::atoi(v.c_str());
-             }},
-            {"--metrics-interval-ms",
-             [&](const std::string &v) {
-                 opts.metricsIntervalMs = std::atoll(v.c_str());
-             }},
-            {"--metrics-file",
-             [&](const std::string &v) { opts.metricsFile = v; }},
-            {"--workers",
-             [&](const std::string &v) {
-                 opts.workers = std::atoi(v.c_str());
-             }},
-            {"--journal",
-             [&](const std::string &v) { opts.journalPath = v; }},
-            {"--heartbeat-ms",
-             [&](const std::string &v) {
-                 opts.heartbeatMs = std::atoll(v.c_str());
-             }},
-            {"--max-request-bytes",
-             [&](const std::string &v) {
-                 opts.maxRequestBytes = std::atoll(v.c_str());
-             }},
-            {"--cache-entries",
-             [&](const std::string &v) {
-                 opts.cacheEntries = std::atoll(v.c_str());
-             }},
-            {"--cache-bytes",
-             [&](const std::string &v) {
-                 opts.cacheBytes = std::atoll(v.c_str());
-             }},
-            {"--cache-snapshot-dir",
-             [&](const std::string &v) {
-                 opts.cacheSnapshotDir = v;
-             }},
-            {"--cache-snapshot-interval-ms",
-             [&](const std::string &v) {
-                 opts.cacheSnapshotIntervalMs = std::atoll(v.c_str());
-             }},
-            {"--worker-fd",
-             [&](const std::string &v) {
-                 opts.workerFd = std::atoi(v.c_str());
-             }},
-            {"--shard",
-             [&](const std::string &v) {
-                 opts.shard = std::atoi(v.c_str());
-             }},
-            {"--file",
-             [&](const std::string &v) { opts.topFile = v; }},
-            {"--interval-ms",
-             [&](const std::string &v) {
-                 opts.topIntervalMs = std::atoll(v.c_str());
-             }},
+    // Flags taking a value, as "--flag V" or "--flag=V". A handler
+    // returns false when the value is malformed.
+    using Handler = std::function<bool(const std::string &)>;
+    auto integer = [](auto &field) -> Handler {
+        return [&field](const std::string &v) {
+            return parseInteger(v, field);
         };
+    };
+    auto text = [](std::string &field) -> Handler {
+        return [&field](const std::string &v) {
+            field = v;
+            return true;
+        };
+    };
+    const std::map<std::string, Handler> valued = {
+        {"--seed", integer(opts.fuzzSeed)},
+        {"--count", integer(opts.fuzzCount)},
+        {"--jobs", integer(opts.jobs)},
+        {"--deadline-ms", integer(opts.deadlineMs)},
+        {"--max-iterations", integer(opts.maxIterations)},
+        {"--max-ir-nodes", integer(opts.maxIrNodes)},
+        {"--fault", text(opts.faultSpec)},
+        {"--caches", text(opts.caches)},
+        {"--reps", integer(opts.benchReps)},
+        {"--warmup", integer(opts.benchWarmup)},
+        {"--filter", text(opts.benchFilter)},
+        {"--incidents-dir", text(opts.incidentsDir)},
+        {"--max-checks", integer(opts.maxChecks)},
+        {"--queue", integer(opts.queueCapacity)},
+        {"--client-cap", integer(opts.clientCap)},
+        {"--age-ms", integer(opts.ageMs)},
+        {"--rss-soft-mb", integer(opts.rssSoftMb)},
+        {"--rss-hard-mb", integer(opts.rssHardMb)},
+        {"--max-requests-per-worker",
+         integer(opts.maxRequestsPerWorker)},
+        {"--max-deadline-ms", integer(opts.maxDeadlineMs)},
+        {"--drain-deadline-ms", integer(opts.drainDeadlineMs)},
+        {"--retry-after-ms", integer(opts.retryAfterMs)},
+        {"--port", integer(opts.port)},
+        {"--host", text(opts.host)},
+        {"--socket", text(opts.socketPath)},
+        {"--metrics-port", integer(opts.metricsPort)},
+        {"--metrics-interval-ms", integer(opts.metricsIntervalMs)},
+        {"--metrics-file", text(opts.metricsFile)},
+        {"--workers", integer(opts.workers)},
+        {"--journal", text(opts.journalPath)},
+        {"--heartbeat-ms", integer(opts.heartbeatMs)},
+        {"--max-request-bytes", integer(opts.maxRequestBytes)},
+        {"--cache-entries", integer(opts.cacheEntries)},
+        {"--cache-bytes", integer(opts.cacheBytes)},
+        {"--cache-snapshot-dir", text(opts.cacheSnapshotDir)},
+        {"--cache-snapshot-interval-ms",
+         integer(opts.cacheSnapshotIntervalMs)},
+        {"--worker-fd", integer(opts.workerFd)},
+        {"--shard", integer(opts.shard)},
+        {"--file", text(opts.topFile)},
+        {"--interval-ms", integer(opts.topIntervalMs)},
+    };
 
     for (int i = 1; i < argc && opts.error.empty(); ++i) {
         std::string arg = argv[i];
@@ -672,13 +604,18 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--no-cache") {
             opts.noCache = true;
         } else if (valuedIt != valued.end()) {
+            std::string value;
             if (eq != std::string::npos) {
-                valuedIt->second(arg.substr(eq + 1));
+                value = arg.substr(eq + 1);
             } else if (i + 1 < argc) {
-                valuedIt->second(argv[++i]);
+                value = argv[++i];
             } else {
                 opts.error = arg + " needs a value";
+                continue;
             }
+            if (!valuedIt->second(value))
+                opts.error = head + " wants an integer, got '" + value +
+                             "'";
         } else if (arg == "-v") {
             ++opts.verbosity;
         } else if (arg == "-q") {
@@ -715,7 +652,6 @@ usageText()
         "[-v] [-q]\n"
         "       memoria fuzz [--seed N] [--count K] [--jobs N] "
         "[--no-incidents]\n"
-        "       memoria diffinterp [--seed N] [--count K]\n"
         "       memoria batch [programs...] [--all] [--stdin] "
         "[--jobs N]\n"
         "               [--deadline-ms N] [--max-iterations N] "
@@ -747,8 +683,6 @@ usageText()
         "[--json]\n"
         "       memoria version | --version\n"
         "       memoria --help\n"
-        "global: --interp tree|tape selects the interpreter engine\n"
-        "        (default tape; MEMORIA_INTERP env is the fallback)\n"
         "exit codes: 0 ok, 1 pipeline failure, 2 usage error\n";
 }
 
@@ -962,120 +896,6 @@ cmdFuzz(const Options &opts)
 
     std::cout << "FUZZING FOUND FAILURES\n";
     return 1;
-}
-
-/**
- * `memoria diffinterp`: differential check of the two interpreter
- * engines. Every input — kernels, the corpus, their Compound-transformed
- * variants, and `--count` fuzz programs — is executed once per engine
- * through the multi-config cache sweep, and the complete observable
- * surface is compared: ExecStats, array checksum, per-configuration
- * cache counters (accesses/hits/misses/cold/evictions), modeled cycles,
- * and — for faulting programs — the exact Diag text. Any divergence is
- * a bug in the bytecode compiler or the tree walker; CI hard-fails on
- * it.
- */
-int
-cmdDiffInterp(const Options &opts)
-{
-    const std::vector<CacheConfig> configs{CacheConfig::rs6000(),
-                                           CacheConfig::i860()};
-
-    struct ModeOutcome
-    {
-        bool ok = false;
-        std::string diag;
-        SweepResult sweep;
-    };
-    auto runMode = [&](const Program &prog, InterpMode m) {
-        InterpMode saved = defaultInterpMode();
-        setDefaultInterpMode(m);
-        Result<SweepResult> r = tryRunWithCaches(prog, configs);
-        setDefaultInterpMode(saved);
-        ModeOutcome out;
-        if (r.ok()) {
-            out.ok = true;
-            out.sweep = std::move(r.value());
-        } else {
-            out.diag = r.diag().str();
-        }
-        return out;
-    };
-
-    int checked = 0, divergent = 0;
-    auto compare = [&](const std::string &name, const Program &prog) {
-        ++checked;
-        ModeOutcome tree = runMode(prog, InterpMode::Tree);
-        ModeOutcome tape = runMode(prog, InterpMode::Tape);
-        std::string why;
-        if (tree.ok != tape.ok) {
-            why = std::string("tree ") +
-                  (tree.ok ? "runs" : "faults (" + tree.diag + ")") +
-                  ", tape " +
-                  (tape.ok ? "runs" : "faults (" + tape.diag + ")");
-        } else if (!tree.ok) {
-            if (tree.diag != tape.diag)
-                why = "fault diags differ: tree '" + tree.diag +
-                      "' vs tape '" + tape.diag + "'";
-        } else {
-            const SweepResult &a = tree.sweep;
-            const SweepResult &b = tape.sweep;
-            if (a.exec.stmtsExecuted != b.exec.stmtsExecuted ||
-                a.exec.memRefs != b.exec.memRefs ||
-                a.exec.loopIterations != b.exec.loopIterations)
-                why = "ExecStats differ";
-            else if (a.checksum != b.checksum)
-                why = "array checksums differ";
-            else if (a.cycles != b.cycles)
-                why = "modeled cycles differ";
-            for (size_t c = 0; why.empty() && c < configs.size(); ++c) {
-                const CacheStats &x = a.cache[c];
-                const CacheStats &y = b.cache[c];
-                if (x.accesses != y.accesses || x.hits != y.hits ||
-                    x.misses != y.misses ||
-                    x.coldMisses != y.coldMisses ||
-                    x.evictions != y.evictions)
-                    why = "cache counters differ on " +
-                          configs[c].name;
-            }
-        }
-        if (!why.empty()) {
-            ++divergent;
-            std::cout << "DIVERGENCE " << name << ": " << why << "\n";
-        }
-    };
-
-    // The transformed variant doubles the shape coverage (permuted,
-    // fused, distributed, scalar-replaced nests). Verification is off:
-    // the oracle itself interprets, and even a program Compound would
-    // have rolled back must still agree between the two engines.
-    auto compareBoth = [&](const std::string &name, Program prog) {
-        compare(name, prog);
-        ModelParams params;
-        CompoundOptions copts;
-        copts.verify = false;
-        compoundTransform(prog, params, copts);
-        compare(name + "#opt", prog);
-    };
-
-    for (const auto &[name, make] : kernels())
-        compareBoth(name, make(24));
-    for (const auto &spec : corpusSpecs())
-        compareBoth(spec.name, buildCorpusProgram(spec, 16));
-    for (int k = 0; k < opts.fuzzCount; ++k) {
-        uint64_t seed = opts.fuzzSeed + static_cast<uint64_t>(k);
-        compareBoth("fuzz-" + std::to_string(seed), fuzzProgram(seed));
-    }
-
-    std::cout << "diffinterp: " << checked
-              << " program variants compared (tree vs tape), "
-              << divergent << " divergent\n";
-    if (divergent > 0) {
-        std::cout << "INTERPRETERS DIVERGE\n";
-        return 1;
-    }
-    std::cout << "interpreters agree\n";
-    return 0;
 }
 
 int
@@ -1428,13 +1248,10 @@ cmdTop(const Options &opts)
         if (opts.positional.size() > 1) {
             const std::string &hp = opts.positional[1];
             size_t colon = hp.rfind(':');
-            if (colon == std::string::npos) {
-                port = std::atoi(hp.c_str());
-            } else {
-                if (colon > 0)
-                    host = hp.substr(0, colon);
-                port = std::atoi(hp.c_str() + colon + 1);
-            }
+            if (colon > 0 && colon != std::string::npos)
+                host = hp.substr(0, colon);
+            if (!parseInteger(hp.substr(colon + 1), port))
+                port = 0;
         }
         if (port <= 0) {
             std::cerr << "memoria top: wants host:port (or --file "
@@ -1669,19 +1486,6 @@ run(int argc, char **argv)
     }
     applyVerbosity(opts);
 
-    if (!opts.interp.empty()) {
-        std::optional<InterpMode> mode = parseInterpMode(opts.interp);
-        if (!mode) {
-            std::cerr << "memoria: --interp wants tree or tape, got '"
-                      << opts.interp << "'\n";
-            return 2;
-        }
-        setDefaultInterpMode(*mode);
-        // Exported so re-exec'd children (the serve supervisor's shard
-        // workers) inherit the engine choice.
-        ::setenv("MEMORIA_INTERP", interpModeName(*mode), 1);
-    }
-
     if (opts.help) {
         std::cout << usageText();
         return 0;
@@ -1760,19 +1564,14 @@ run(int argc, char **argv)
         } else {
             rc = cmdFuzz(opts);
         }
-    } else if (cmd == "diffinterp") {
-        if (opts.fuzzCount < 0) {
-            std::cerr << "memoria: --count must be non-negative\n";
-            rc = 2;
-        } else {
-            rc = cmdDiffInterp(opts);
-        }
     } else if (opts.positional.size() < 2) {
         std::cerr << "missing program name; try `memoria list`\n";
+    } else if (int64_t n = 48; opts.positional.size() > 2 &&
+                               !parseInteger(opts.positional[2], n)) {
+        std::cerr << "memoria: N wants an integer, got '"
+                  << opts.positional[2] << "'\n";
+        rc = 2;
     } else {
-        int64_t n = opts.positional.size() > 2
-                        ? std::atoll(opts.positional[2].c_str())
-                        : 48;
         Result<Program> resolved = resolve(opts.positional[1], n);
         if (!resolved.ok()) {
             std::cerr << "memoria: " << resolved.diag().str() << "\n";

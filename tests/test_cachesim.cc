@@ -14,6 +14,7 @@
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
 #include "interp/interp.hh"
+#include "recording_sink.hh"
 #include "suite/kernels.hh"
 #include "support/stats.hh"
 
@@ -178,17 +179,33 @@ TEST(Sweep, RunWithCachesMatchesRunWithCache)
     ASSERT_EQ(sweep.cache.size(), configs.size());
     ASSERT_EQ(sweep.cycles.size(), configs.size());
 
+    // An independent reference: record the stream once, then feed it
+    // one Cache::access at a time into a standalone cache per config.
+    Interpreter interp(p);
+    RecordingSink rec;
+    ASSERT_TRUE(interp.run(&rec).ok());
+    EXPECT_EQ(rec.records.size(), sweep.exec.memRefs);
+    const MachineModel machine;
     for (size_t i = 0; i < configs.size(); ++i) {
-        // tryRunWithCache keeps the original one-listener path, so the
-        // two implementations are independent.
-        Result<RunResult> direct = tryRunWithCache(p, configs[i]);
-        ASSERT_TRUE(direct.ok());
-        expectSameStats(sweep.cache[i], direct.value().cache);
-        EXPECT_DOUBLE_EQ(sweep.cycles[i], direct.value().cycles);
-        EXPECT_EQ(sweep.checksum, direct.value().checksum);
-        EXPECT_EQ(sweep.exec.memRefs, direct.value().exec.memRefs);
+        Cache direct(configs[i]);
+        for (const AccessRecord &r : rec.records)
+            direct.access(r.addr, static_cast<int>(r.size), r.isWrite);
+        expectSameStats(sweep.cache[i], direct.stats());
+        double cycles =
+            machine.cyclesPerStmt * interp.stats().stmtsExecuted +
+            machine.cyclesPerRef * interp.stats().memRefs +
+            machine.missPenalty * direct.stats().misses;
+        EXPECT_DOUBLE_EQ(sweep.cycles[i], cycles);
+        EXPECT_EQ(sweep.checksum, interp.checksum());
+        EXPECT_EQ(sweep.exec.memRefs, interp.stats().memRefs);
         EXPECT_EQ(sweep.exec.loopIterations,
-                  direct.value().exec.loopIterations);
+                  interp.stats().loopIterations);
+
+        // The one-config entry point agrees too.
+        Result<RunResult> one = tryRunWithCache(p, configs[i]);
+        ASSERT_TRUE(one.ok());
+        expectSameStats(one.value().cache, direct.stats());
+        EXPECT_DOUBLE_EQ(one.value().cycles, cycles);
     }
 }
 

@@ -2,14 +2,19 @@
  *  scalar replacement, unroll-and-jam, tiling, reversal, the
  *  reuse-distance analyzer and the two-level cache hierarchy. */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cachesim/hierarchy.hh"
 #include "cachesim/reuse.hh"
+#include "cachesim/sweep.hh"
 #include "dependence/graph.hh"
 #include "interp/interp.hh"
 #include "ir/builder.hh"
 #include "ir/printer.hh"
+#include "recording_sink.hh"
 #include "suite/kernels.hh"
 #include "transform/reverse.hh"
 #include "transform/scalar_replace.hh"
@@ -303,23 +308,36 @@ TEST(ReuseDistance, ImmediateReuseIsDistanceZero)
     EXPECT_DOUBLE_EQ(rd.missRatio(1), 0.0);
 }
 
+/** Reuse-distance profile of `p`, from a reuse-only sweep. */
+std::unique_ptr<MultiCacheSim>
+reuseProfile(const Program &p)
+{
+    auto sim = std::make_unique<MultiCacheSim>(
+        std::vector<CacheConfig>{}, SweepReuseOptions{true, 32});
+    EXPECT_TRUE(Interpreter(p).run(sim.get()).ok());
+    return sim;
+}
+
 TEST(ReuseDistance, AgreesWithFullyAssociativeCache)
 {
-    // Run matmul through both the analyzer and a fully associative
-    // LRU cache; miss counts must agree (cold misses excluded).
+    // Replay matmul's recorded stream into both the analyzer and a
+    // fully associative LRU cache; miss counts must agree (cold misses
+    // excluded).
     Program p = makeMatmul("IKJ", 12);
-    Interpreter i1(p);
-    ReuseDistanceAnalyzer rd(32);
-    i1.run(&rd);
+    Interpreter interp(p);
+    RecordingSink rec;
+    ASSERT_TRUE(interp.run(&rec).ok());
 
     CacheConfig full;
     full.sizeBytes = 64 * 32;  // 64 lines
     full.associativity = 64;   // fully associative, one set
     full.lineBytes = 32;
-    Program q = makeMatmul("IKJ", 12);
-    Interpreter i2(q);
+    ReuseDistanceAnalyzer rd(32);
     Cache cache(full);
-    i2.run(&cache);
+    for (const AccessRecord &r : rec.records) {
+        rd.access(r.addr, static_cast<int>(r.size), r.isWrite);
+        cache.access(r.addr, static_cast<int>(r.size), r.isWrite);
+    }
 
     uint64_t warmMisses = cache.stats().misses -
                           cache.stats().coldMisses;
@@ -330,13 +348,12 @@ TEST(ReuseDistance, AgreesWithFullyAssociativeCache)
 
 TEST(ReuseDistance, OptimizationShortensDistances)
 {
-    Program bad = makeMatmul("IKJ", 24);
-    Program good = makeMatmul("JKI", 24);
-    ReuseDistanceAnalyzer rb(32), rg(32);
-    Interpreter ib(bad), ig(good);
-    ib.run(&rb);
-    ig.run(&rg);
-    EXPECT_LT(rg.meanDistance(), rb.meanDistance());
+    std::unique_ptr<MultiCacheSim> bad =
+        reuseProfile(makeMatmul("IKJ", 24));
+    std::unique_ptr<MultiCacheSim> good =
+        reuseProfile(makeMatmul("JKI", 24));
+    EXPECT_LT(good->reuse()->meanDistance(),
+              bad->reuse()->meanDistance());
 }
 
 // ------------------------------------------------------- hierarchy

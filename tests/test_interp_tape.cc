@@ -1,11 +1,17 @@
 /**
  * Unit tests for the flat arena IR and the bytecode tape interpreter
  * (interp/arena.hh, interp/tape.hh): lossless flattening, the golden
- * disassembly, and tree/tape parity on faults, budgets and
- * cancellation. The jobs-determinism tests pin down the parallel
- * oracle and fuzz campaign contracts (identical output for every jobs
- * value).
+ * disassembly, and tree/tape parity on faults, budgets, cancellation
+ * and access streams. Tape.SweepParityAcrossModes is the differential
+ * gate between the two engines: every kernel, every corpus program and
+ * 500 fuzz programs, raw and Compound-transformed. The
+ * jobs-determinism tests pin down the parallel oracle and fuzz campaign
+ * contracts (identical output for every jobs value).
  */
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,8 +24,10 @@
 #include "interp/tape.hh"
 #include "ir/builder.hh"
 #include "ir/printer.hh"
+#include "recording_sink.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
+#include "transform/compound.hh"
 
 namespace memoria {
 namespace {
@@ -159,6 +167,81 @@ TEST(Tape, ModZeroParity)
     EXPECT_EQ(tree.stats().stmtsExecuted, tape.stats().stmtsExecuted);
 }
 
+/** One engine's run of a program: whether it finished, its access
+ *  stream and the number of references it counted. */
+struct Recorded
+{
+    bool ok = false;
+    std::vector<AccessRecord> stream;
+    uint64_t memRefs = 0;
+};
+
+Recorded
+record(const Program &p, InterpMode mode)
+{
+    Interpreter interp(p);
+    interp.setMode(mode);
+    RecordingSink sink;
+    bool ok = interp.run(&sink).ok();
+    return {ok, std::move(sink.records), interp.stats().memRefs};
+}
+
+/** Record-by-record comparison of the two engines' streams. */
+void
+expectSameStream(const std::vector<AccessRecord> &tree,
+                 const std::vector<AccessRecord> &tape)
+{
+    ASSERT_EQ(tree.size(), tape.size());
+    for (size_t i = 0; i < tree.size(); ++i) {
+        EXPECT_EQ(tree[i].addr, tape[i].addr) << "record " << i;
+        EXPECT_EQ(tree[i].size, tape[i].size) << "record " << i;
+        EXPECT_EQ(tree[i].isWrite, tape[i].isWrite) << "record " << i;
+    }
+}
+
+TEST(Tape, StreamParityOnMinMaxOperands)
+{
+    // C(I) = MAX(A(I), MIN(B(I), 4)): both engines must load A before
+    // B. The tape compiles kids[0] first; the tree walker once passed
+    // both operands straight to std::max/std::min, whose argument
+    // evaluation order C++ leaves unspecified (GCC goes right to left).
+    ProgramBuilder b("minmax");
+    Var n = b.param("N", 6);
+    Arr a = b.array("A", {n});
+    Arr bb = b.array("B", {n});
+    Arr c = b.array("C", {n});
+    Var i = b.loopVar("I");
+    b.add(b.loop(i, 1, n,
+                 b.assign(c(i), maxv(a(i), minv(bb(i), Val(4))))));
+    Program p = b.finish();
+
+    Recorded tree = record(p, InterpMode::Tree);
+    Recorded tape = record(p, InterpMode::Tape);
+    EXPECT_TRUE(tree.ok);
+    EXPECT_TRUE(tape.ok);
+    ASSERT_EQ(tape.stream.size(), 18u);  // 6 x (load A, load B, store C)
+    Interpreter layout(p);
+    EXPECT_EQ(tape.stream[0].addr, layout.arrayBase(0));
+    EXPECT_EQ(tape.stream[1].addr, layout.arrayBase(1));
+    expectSameStream(tree.stream, tape.stream);
+}
+
+TEST(Tape, StreamParityUpToFault)
+{
+    // The stream up to an out-of-bounds fault matches, and it is
+    // complete: the trailing partial batch is flushed on the fault, so
+    // every counted reference reaches the sink.
+    Program p = makeOobProgram();
+    Recorded tree = record(p, InterpMode::Tree);
+    Recorded tape = record(p, InterpMode::Tape);
+    EXPECT_FALSE(tree.ok);
+    EXPECT_FALSE(tape.ok);
+    EXPECT_GT(tape.stream.size(), 0u);
+    EXPECT_EQ(tree.stream.size(), tree.memRefs);
+    EXPECT_EQ(tape.stream.size(), tape.memRefs);
+    expectSameStream(tree.stream, tape.stream);
+}
+
 /** Run `p` in `mode` under an iteration budget; returns the cancel
  *  kind (or nullopt if the run finished) and the iterations charged. */
 std::pair<std::optional<harness::CancelKind>, uint64_t>
@@ -218,41 +301,146 @@ TEST(Tape, ExternalCancellationParity)
     }
 }
 
-TEST(Tape, SweepParityAcrossModes)
+/** Feeds a multi-config sweep and folds every record (address, size,
+ *  direction, in order) into an FNV-1a hash of the stream. */
+class HashingSweep final : public AccessBatchSink
 {
-    // End to end: the full sweep result — stats, per-config cache
-    // counters, cycles and checksum — is identical in both modes.
-    std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
-                                        CacheConfig::i860()};
-    for (const Program &p : samplePrograms()) {
-        InterpMode saved = defaultInterpMode();
-        setDefaultInterpMode(InterpMode::Tree);
-        Result<SweepResult> tree = tryRunWithCaches(p, configs);
-        setDefaultInterpMode(InterpMode::Tape);
-        Result<SweepResult> tape = tryRunWithCaches(p, configs);
-        setDefaultInterpMode(saved);
+  public:
+    explicit HashingSweep(const std::vector<CacheConfig> &configs)
+        : sim(configs)
+    {
+    }
 
-        ASSERT_EQ(tree.ok(), tape.ok()) << p.name;
-        if (!tree.ok()) {
-            EXPECT_EQ(tree.diag().str(), tape.diag().str()) << p.name;
-            continue;
+    void
+    consumeBatch(const AccessRecord *rec, size_t n) override
+    {
+        for (size_t i = 0; i < n; ++i) {
+            mix(rec[i].addr);
+            mix(rec[i].size);
+            mix(rec[i].isWrite);
         }
-        EXPECT_EQ(tree.value().checksum, tape.value().checksum)
-            << p.name;
-        EXPECT_EQ(tree.value().exec.memRefs, tape.value().exec.memRefs)
-            << p.name;
-        ASSERT_EQ(tree.value().cache.size(), tape.value().cache.size());
-        for (size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_EQ(tree.value().cache[i].accesses,
-                      tape.value().cache[i].accesses)
-                << p.name;
-            EXPECT_EQ(tree.value().cache[i].hits,
-                      tape.value().cache[i].hits)
-                << p.name;
-            EXPECT_EQ(tree.value().cycles[i], tape.value().cycles[i])
-                << p.name;
+        sim.consumeBatch(rec, n);
+    }
+
+    MultiCacheSim sim;
+    uint64_t hash = 0xcbf29ce484222325ULL;
+
+  private:
+    void
+    mix(uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (v >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ULL;
         }
     }
+};
+
+/** Everything one engine's run of one program exposes. */
+struct EngineOutcome
+{
+    bool ok = false;
+    std::string diag;
+    ExecStats exec;
+    uint64_t checksum = 0;
+    std::vector<CacheStats> cache;
+    std::vector<double> cycles;
+    uint64_t streamHash = 0;
+};
+
+EngineOutcome
+runEngine(const Program &p, InterpMode mode,
+          const std::vector<CacheConfig> &configs)
+{
+    Interpreter interp(p);
+    interp.setMode(mode);
+    HashingSweep sink(configs);
+    Status st = interp.run(&sink);
+    EngineOutcome out;
+    out.ok = st.ok();
+    if (!st.ok())
+        out.diag = st.diag().str();
+    out.exec = interp.stats();
+    out.checksum = interp.checksum();
+    out.streamHash = sink.hash;
+    MachineModel m;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        out.cache.push_back(sink.sim.stats(i));
+        out.cycles.push_back(m.cyclesPerStmt * out.exec.stmtsExecuted +
+                             m.cyclesPerRef * out.exec.memRefs +
+                             m.missPenalty * out.cache.back().misses);
+    }
+    return out;
+}
+
+TEST(Tape, SweepParityAcrossModes)
+{
+    // The differential gate between the engines. Every kernel (N=24),
+    // every corpus program (extent 16) and fuzz seeds 1..500 run once
+    // per engine, each raw and Compound-transformed — 1090 variants.
+    // The transformed variant doubles the shape coverage (permuted,
+    // fused, distributed, scalar-replaced nests); verification is off,
+    // since even a program Compound would roll back must agree. The
+    // whole observable surface is compared: verdict, Diag text,
+    // ExecStats, checksum, cycles, every per-config cache counter, and
+    // a hash of the full access-record stream.
+    const std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
+                                              CacheConfig::i860()};
+    int variants = 0;
+    auto compare = [&](const std::string &name, const Program &p) {
+        ++variants;
+        EngineOutcome tree = runEngine(p, InterpMode::Tree, configs);
+        EngineOutcome tape = runEngine(p, InterpMode::Tape, configs);
+        ASSERT_EQ(tree.ok, tape.ok) << name;
+        EXPECT_EQ(tree.diag, tape.diag) << name;
+        EXPECT_EQ(tree.exec.stmtsExecuted, tape.exec.stmtsExecuted)
+            << name;
+        EXPECT_EQ(tree.exec.memRefs, tape.exec.memRefs) << name;
+        EXPECT_EQ(tree.exec.loopIterations, tape.exec.loopIterations)
+            << name;
+        EXPECT_EQ(tree.checksum, tape.checksum) << name;
+        EXPECT_EQ(tree.cycles, tape.cycles) << name;
+        EXPECT_EQ(tree.streamHash, tape.streamHash) << name;
+        for (size_t c = 0; c < configs.size(); ++c) {
+            const CacheStats &x = tree.cache[c];
+            const CacheStats &y = tape.cache[c];
+            const std::string where = name + " on " + configs[c].name;
+            EXPECT_EQ(x.accesses, y.accesses) << where;
+            EXPECT_EQ(x.hits, y.hits) << where;
+            EXPECT_EQ(x.misses, y.misses) << where;
+            EXPECT_EQ(x.coldMisses, y.coldMisses) << where;
+            EXPECT_EQ(x.evictions, y.evictions) << where;
+        }
+    };
+    auto compareBoth = [&](const std::string &name, Program p) {
+        compare(name, p);
+        CompoundOptions copts;
+        copts.verify = false;
+        compoundTransform(p, ModelParams{}, copts);
+        compare(name + "#opt", p);
+    };
+
+    const std::vector<std::pair<std::string,
+                                std::function<Program(int64_t)>>>
+        kernels = {
+            {"matmul-ijk", [](int64_t n) { return makeMatmul("IJK", n); }},
+            {"matmul-ikj", [](int64_t n) { return makeMatmul("IKJ", n); }},
+            {"matmul-jki", [](int64_t n) { return makeMatmul("JKI", n); }},
+            {"cholesky", makeCholeskyKIJ},
+            {"adi", makeAdiScalarized},
+            {"erlebacher", makeErlebacherDistributed},
+            {"gmtry", makeGmtry},
+            {"simple", makeSimpleHydro},
+            {"vpenta", makeVpenta},
+            {"jacobi", makeJacobiBadOrder},
+        };
+    for (const auto &[name, make] : kernels)
+        compareBoth(name, make(24));
+    for (const CorpusSpec &spec : corpusSpecs())
+        compareBoth(spec.name, buildCorpusProgram(spec, 16));
+    for (uint64_t seed = 1; seed <= 500; ++seed)
+        compareBoth("fuzz-" + std::to_string(seed), fuzzProgram(seed));
+    EXPECT_EQ(variants, 1090);
 }
 
 TEST(EquivJobs, ParallelRoundsAreDeterministic)
