@@ -7,7 +7,11 @@
  * array rank, extents, strides, bounds — on every single access. The
  * tape compiles one program binding (program + concrete parameter
  * values + array layout) into a flat instruction vector once, hoisting
- * everything compile-time-knowable out of the loop:
+ * everything compile-time-knowable out of the loop. Compilation is a
+ * single walk over the tree Program, with no intermediate form: loops,
+ * statements and value spines are emitted in execution order (a spine
+ * shared by several statements is emitted once per use), and each
+ * AffineExpr the tape evaluates is copied into its own flat pools.
  *
  *  - **loop headers** carry their variable, bound expressions and step;
  *    the trip count is computed once per loop entry, so the back edge
@@ -47,7 +51,6 @@
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
 #include "check/diag.hh"
-#include "interp/arena.hh"
 #include "ir/program.hh"
 
 namespace memoria {
@@ -118,6 +121,9 @@ class Tape
     /** Register-array flag: no memory traffic, no access stream. */
     static constexpr uint8_t kFlagRegister = 1;
 
+    /** "No pool entry" id. */
+    static constexpr int32_t kNone = -1;
+
     struct Instr
     {
         Op op = Op::Halt;
@@ -148,7 +154,7 @@ class Tape
     /** One guarded subscript dimension. */
     struct Dim
     {
-        int32_t affine = kNoArena; ///< kNoArena for opaque subscripts
+        int32_t affine = kNone;    ///< kNone for opaque subscripts
         int64_t extent = 0;
         int64_t stride = 1;
         int32_t subIndex = 0;      ///< 0-based dimension (messages)
@@ -171,20 +177,17 @@ class Tape
     };
 
     // --- compilation ---
-    void compileNode(const ProgramArena &arena, ArenaId nodeId);
-    void compileStmt(const ProgramArena &arena, ArenaId stmtId);
-    void compileValue(const ProgramArena &arena, ArenaId valId);
-    void compileRef(const ProgramArena &arena, ArenaId refId,
-                    bool isStore);
+    void compileNode(const Node &n);
+    void compileStmt(const Statement &s);
+    void compileValue(const ValuePtr &v);
+    void compileRef(const ArrayRef &r, bool isStore);
     void emit(Instr in, int dstackEffect, int istackEffect);
     void emitFault(std::string code, std::string msg);
-    /** Copy arena affine `id` into the tape pools (no AffineExpr
-     *  reconstruction — compile cost matters for tiny oracle runs). */
-    int32_t addAffine(const ProgramArena &arena, ArenaId id);
-    /** Interval of arena affine `id` over the current loop-variable
-     *  ranges; false when any variable is unbounded. */
-    bool affineInterval(const ProgramArena &arena, ArenaId id,
-                        Interval &out) const;
+    /** Copy `e` into the tape's affine pools; returns its id. */
+    int32_t addAffine(const AffineExpr &e);
+    /** Interval of `e` over the current loop-variable ranges; false
+     *  when any variable is unbounded. */
+    bool affineInterval(const AffineExpr &e, Interval &out) const;
 
     // --- execution ---
     template <class Emitter> void execute(Interpreter &interp,
