@@ -166,17 +166,20 @@ Interpreter::setInitSeed(uint64_t seed)
 {
     MEMORIA_ASSERT(!ran_, "setInitSeed after run");
     initSeed_ = seed;
+    // The seed changes array contents only; extents, bases and the
+    // allocation error stand. Arrays refill lazily from the new seed,
+    // and the tape, which binds their buffers, is recompiled.
     std::fill(filled_.begin(), filled_.end(), 0);
-    allocate();
+    tape_.reset();
 }
 
 /**
  * Recompute the binding: concrete extents, virtual base addresses and
  * the deferred allocation error. Array contents are NOT filled here —
  * they materialize lazily (ensureArray) so the repeated rebinding the
- * equivalence oracle performs (construct, setParam per parameter,
- * setInitSeed) costs extent arithmetic, not a full data refill each
- * time. An array whose extents are unchanged keeps its filled data.
+ * equivalence oracle performs (construct, then setParam per parameter)
+ * costs extent arithmetic, not a full data refill each time. An array
+ * whose extents are unchanged keeps its filled data.
  */
 void
 Interpreter::allocate()
