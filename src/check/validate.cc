@@ -77,7 +77,7 @@ class Validator
                 report("validate.array_name",
                        "duplicate symbol name '" + a.name + "'");
             }
-            if (a.elemSize <= 0)
+            if (a.elemSize <= 0 || a.elemSize > kMaxElemSize)
                 report("validate.elem_size",
                        "array '" + a.name + "' has element size " +
                            std::to_string(a.elemSize));

@@ -243,6 +243,25 @@ class Parser
         return neg ? -v : v;
     }
 
+    /** The N of REAL*N, in bytes. The range is checked on the lexed
+     *  value, before any narrowing, and the error points at the size. */
+    int
+    expectElemSize()
+    {
+        Token at = lex_.peek();
+        bool neg = acceptSym('-');
+        if (lex_.peek().kind != Token::Kind::Number ||
+            !lex_.peek().isInt)
+            fail("expected integer");
+        double n = lex_.peek().number;
+        if (neg || n < 1 || n > kMaxElemSize)
+            throw Bail{{at.line,
+                        "element size must be 1.." +
+                            std::to_string(kMaxElemSize) + " bytes",
+                        at.col}};
+        return static_cast<int>(lex_.next().number);
+    }
+
     // ---- declarations ------------------------------------------
 
     void
@@ -264,7 +283,7 @@ class Parser
                 lex_.next();
                 int elemSize = 8;
                 if (acceptSym('*'))
-                    elemSize = static_cast<int>(expectInt());
+                    elemSize = expectElemSize();
                 do {
                     parseArrayDecl(elemSize, false);
                 } while (acceptSym(','));

@@ -89,6 +89,23 @@ TEST(Validate, RejectsOutOfRangeArrayId)
     EXPECT_FALSE(validateProgram(p).empty());
 }
 
+TEST(Validate, RejectsElementSizeOutOfRange)
+{
+    // REAL*N must fit the interpreter's 16-bit access width; the API
+    // and the fuzzer bypass the parser's check, so the validator holds
+    // the same 1..kMaxElemSize line.
+    for (int size : {0, -8, kMaxElemSize + 1}) {
+        Program p = interchangeIllegalNest();
+        p.arrays[0].elemSize = size;
+        std::vector<Diag> diags = validateProgram(p);
+        ASSERT_EQ(diags.size(), 1u) << size;
+        EXPECT_EQ(diags.front().code, "validate.elem_size") << size;
+    }
+    Program edge = interchangeIllegalNest();
+    edge.arrays[0].elemSize = kMaxElemSize;
+    EXPECT_TRUE(validateProgram(edge).empty());
+}
+
 TEST(Validate, RejectsNullRhs)
 {
     Program p = interchangeIllegalNest();

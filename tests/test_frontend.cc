@@ -126,6 +126,27 @@ TEST(Parser, ErrorsCarryLineNumbers)
     EXPECT_NE(err.message.find("wrong rank"), std::string::npos);
 }
 
+TEST(Parser, RejectsElementSizeOutOfRange)
+{
+    // Sizes outside 1..65535 are positioned parse errors, never a
+    // silent narrowing: 4294967304 would truncate to 8 as an int.
+    for (const char *size : {"65536", "4294967304", "0", "-4"}) {
+        std::string src = std::string("PROGRAM x\n  PARAMETER N = 4\n"
+                                      "  REAL*") +
+                          size + " A(N)\nEND";
+        ParseError err;
+        EXPECT_FALSE(parseProgram(src, &err).has_value()) << size;
+        EXPECT_EQ(err.line, 3) << size;
+        EXPECT_EQ(err.col, 8) << size;  // the size itself
+        EXPECT_NE(err.message.find("element size"), std::string::npos)
+            << size;
+    }
+    auto p = parseProgram(
+        "PROGRAM x\n  PARAMETER N = 4\n  REAL*65535 A(N)\nEND");
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->arrays[0].elemSize, 65535);
+}
+
 TEST(Parser, CommentsIgnored)
 {
     auto p = parseProgram(R"(

@@ -430,6 +430,53 @@ TEST(Batch, BadInputIsContainedAsDiag)
     EXPECT_EQ(rep.containedCount(), 2);
 }
 
+TEST(Batch, OversizedElementIsContainedAsDiag)
+{
+    // REAL*65536 does not fit the interpreter's 16-bit access width.
+    // Parsed, it is a parse error; built through the API, a validation
+    // error. Either way that program alone is a Diag: the batch keeps
+    // going and its neighbours' outcomes do not change.
+    harness::BatchOptions opts;
+    opts.jobs = 2;
+    harness::BatchReport clean = harness::runBatch(sweepInputs(), opts);
+
+    std::vector<harness::BatchInput> inputs = sweepInputs();
+    inputs.push_back(harness::namedInput("parsed-65536",
+                                         "PROGRAM big\n"
+                                         "  PARAMETER N = 4\n"
+                                         "  REAL*65536 U(N,N)\n"
+                                         "  DO I = 1, N\n"
+                                         "    U(I,I) = 1.0\n"
+                                         "  ENDDO\n"
+                                         "END\n"));
+    inputs.push_back({"built-65536", []() {
+                          Program p = makeMatmul("JKI", 8);
+                          p.arrays[0].elemSize = kMaxElemSize + 1;
+                          return Result<Program>(std::move(p));
+                      }});
+    harness::BatchReport rep = harness::runBatch(inputs, opts);
+    ASSERT_EQ(rep.programs.size(), clean.programs.size() + 2);
+    for (size_t i : {clean.programs.size(), clean.programs.size() + 1}) {
+        const harness::ProgramOutcome &p = rep.programs[i];
+        EXPECT_EQ(p.status, harness::BatchStatus::Diag) << p.name;
+        EXPECT_NE(p.diag.find("element size"), std::string::npos)
+            << p.name << ": " << p.diag;
+        EXPECT_EQ(p.accesses, 0u) << p.name;
+    }
+    for (size_t i = 0; i < clean.programs.size(); ++i) {
+        const harness::ProgramOutcome &a = clean.programs[i];
+        const harness::ProgramOutcome &b = rep.programs[i];
+        EXPECT_EQ(b.name, a.name);
+        EXPECT_EQ(b.status, a.status) << a.name;
+        EXPECT_EQ(b.rung, a.rung) << a.name;
+        EXPECT_EQ(b.attempts, a.attempts) << a.name;
+        EXPECT_EQ(b.accesses, a.accesses) << a.name;
+        EXPECT_EQ(b.hits, a.hits) << a.name;
+        EXPECT_EQ(b.misses, a.misses) << a.name;
+    }
+    EXPECT_EQ(rep.containedCount(), 2);
+}
+
 TEST(Batch, IterationBudgetTimesOutEveryRung)
 {
     harness::BatchOptions opts;
