@@ -6,13 +6,16 @@
  * exactly one interpreter pass no matter how many configs it feeds.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
+#include "harness/batch.hh"
 #include "interp/interp.hh"
 #include "recording_sink.hh"
 #include "suite/kernels.hh"
@@ -243,6 +246,94 @@ TEST(Sweep, FaultingProgramReportsDiag)
     EXPECT_EQ(none.cache.size(), 0u);
     EXPECT_GT(none.exec.memRefs, 0u);
     EXPECT_EQ(none.checksum, ok.value().checksum);
+}
+
+
+/** Exact counters of one original kernel on the paper's two caches. */
+struct GoldenCounters
+{
+    const char *kernel;  ///< name as in harness::kernelInputs
+    int64_t n;
+    CacheStats i860;     ///< accesses, hits, misses, coldMisses, evictions
+    CacheStats rs6000;
+};
+
+/**
+ * Pinned counters: the 10 built-in kernels at n=24, then the six
+ * sim_large benchmark kernels at sizes whose data outgrows both caches.
+ * Recorded with the original AoS way-array simulator; any change to LRU
+ * order, set indexing or the cold-line set shows up here.
+ */
+const GoldenCounters kGolden[] = {
+    {"matmul-ijk", 24,
+     {55296, 54455, 841, 432, 585},
+     {55296, 55188, 108, 108, 0}},
+    {"matmul-ikj", 24,
+     {55296, 54329, 967, 432, 711},
+     {55296, 55188, 108, 108, 0}},
+    {"matmul-jki", 24,
+     {55296, 54766, 530, 432, 274},
+     {55296, 55188, 108, 108, 0}},
+    {"cholesky", 24,
+     {10076, 9992, 84, 84, 0},
+     {10076, 10044, 32, 32, 0}},
+    {"adi", 24,
+     {5520, 5088, 432, 432, 176},
+     {5520, 5412, 108, 108, 0}},
+    {"erlebacher", 24,
+     {170368, 101376, 68992, 15048, 68736},
+     {170368, 161280, 9088, 3852, 8576}},
+    {"gmtry", 24,
+     {18124, 17980, 144, 144, 0},
+     {18124, 18088, 36, 36, 0}},
+    {"simple", 24,
+     {3312, 2928, 384, 288, 128},
+     {3312, 3240, 72, 72, 0}},
+    {"vpenta", 24,
+     {3456, 2592, 864, 432, 608},
+     {3456, 3348, 108, 108, 0}},
+    {"jacobi", 24,
+     {3388, 3076, 312, 276, 56},
+     {3388, 3318, 70, 70, 0}},
+    {"adi", 72,
+     {51120, 29120, 22000, 3888, 21744},
+     {51120, 50040, 1080, 972, 568}},
+    {"vpenta", 64,
+     {24576, 0, 24576, 3072, 24320},
+     {24576, 256, 24320, 768, 23808}},
+    {"jacobi", 96,
+     {61852, 21996, 39856, 4560, 39600},
+     {61852, 59584, 2268, 1140, 1756}},
+    {"erlebacher", 32,
+     {432000, 199320, 232680, 36960, 232424},
+     {432000, 410160, 21840, 9240, 21328}},
+    {"cholesky", 144,
+     {2021736, 1695695, 326041, 2664, 325785},
+     {2021736, 2010224, 11512, 720, 11000}},
+    {"matmul-ikj", 64,
+     {1048576, 516128, 532448, 3072, 532192},
+     {1048576, 1035964, 12612, 768, 12100}},
+};
+
+TEST(CacheGolden, KernelCountersArePinned)
+{
+    for (const GoldenCounters &g : kGolden) {
+        SCOPED_TRACE(std::string(g.kernel) + " n=" + std::to_string(g.n));
+        const std::vector<harness::BatchInput> inputs =
+            harness::kernelInputs(g.n);
+        auto in = std::find_if(inputs.begin(), inputs.end(),
+                               [&](const harness::BatchInput &b) {
+                                   return b.name == g.kernel;
+                               });
+        ASSERT_NE(in, inputs.end());
+        Result<Program> prog = in->load();
+        ASSERT_TRUE(prog.ok());
+        SweepResult r = runWithCaches(
+            prog.value(), {CacheConfig::i860(), CacheConfig::rs6000()});
+        ASSERT_EQ(r.cache.size(), 2u);
+        expectSameStats(r.cache[0], g.i860);
+        expectSameStats(r.cache[1], g.rs6000);
+    }
 }
 
 } // namespace
