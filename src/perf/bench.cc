@@ -40,6 +40,16 @@ struct Bench
     std::function<void(Counters &)> body;
 };
 
+/** Simulator results of one cache config as work counters, so the
+ *  counter gate catches a miss regression and not only access counts. */
+void
+addMissCounters(Counters &c, const std::string &config,
+                const CacheStats &s)
+{
+    c[config + "_misses"] = s.misses;
+    c[config + "_cold_misses"] = s.coldMisses;
+}
+
 double
 elapsedMs(std::chrono::steady_clock::time_point t0)
 {
@@ -167,6 +177,7 @@ benchSuite()
         c["accesses"] = r.cache.accesses;
         c["iterations"] = r.exec.loopIterations;
         c["interp_passes"] = 1;
+        addMissCounters(c, "i860", r.cache);
     }});
 
     suite.push_back({"simulate_sweep", [](Counters &c) {
@@ -182,6 +193,8 @@ benchSuite()
         c["accesses"] = r.cache.front().accesses;
         c["iterations"] = r.exec.loopIterations;
         c["interp_passes"] = cRuns.value() - runsBefore;
+        addMissCounters(c, "rs6000", r.cache[0]);
+        addMissCounters(c, "i860", r.cache[1]);
     }});
 
     suite.push_back({"reuse_sweep", [](Counters &c) {
