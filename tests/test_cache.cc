@@ -1,8 +1,14 @@
 /** Unit tests for the set-associative LRU cache simulator. */
 
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cachesim/cache.hh"
+#include "reference_cache.hh"
 
 namespace memoria {
 namespace {
@@ -89,6 +95,123 @@ TEST(Cache, ResetClearsEverything)
     EXPECT_EQ(c.stats().accesses, 0u);
     EXPECT_FALSE(c.probe(0));
     EXPECT_EQ(c.stats().coldMisses, 1u);
+}
+
+/**
+ * Seeded address stream over `regions` regions `stride` bytes apart,
+ * starting at `base` (sums wrap modulo 2^64): half the accesses reuse a
+ * small hot span, a quarter land anywhere in `span` bytes, and a
+ * quarter stream forward through it.
+ */
+std::vector<uint64_t>
+randomStream(uint64_t seed, size_t n, uint64_t base, uint64_t span,
+             uint64_t stride = 0, int regions = 1)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<uint64_t> out;
+    out.reserve(n);
+    uint64_t seq = 0;
+    for (size_t i = 0; i < n; ++i) {
+        uint64_t region = rng() % static_cast<uint64_t>(regions);
+        uint64_t off;
+        switch (rng() % 4) {
+          case 0:
+          case 1:
+            off = rng() % (span / 16 + 1);
+            break;
+          case 2:
+            off = rng() % span;
+            break;
+          default:
+            off = (seq += 8) % span;
+            break;
+        }
+        out.push_back(base + region * stride + off);
+    }
+    return out;
+}
+
+::testing::AssertionResult
+sameStats(const CacheStats &a, const CacheStats &b)
+{
+    if (a.accesses == b.accesses && a.hits == b.hits &&
+        a.misses == b.misses && a.coldMisses == b.coldMisses &&
+        a.evictions == b.evictions)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "accesses " << a.accesses << "/" << b.accesses << ", hits "
+           << a.hits << "/" << b.hits << ", misses " << a.misses << "/"
+           << b.misses << ", cold " << a.coldMisses << "/" << b.coldMisses
+           << ", evictions " << a.evictions << "/" << b.evictions;
+}
+
+/** Feed `stream` to Cache and ReferenceCache side by side, resetting
+ *  both before access `resetAt`; every probe result and all five
+ *  counters must agree after every access. */
+void
+expectMatchesReference(const CacheConfig &config,
+                       const std::vector<uint64_t> &stream,
+                       size_t resetAt = SIZE_MAX)
+{
+    Cache cache(config);
+    ReferenceCache ref(config);
+    for (size_t i = 0; i < stream.size(); ++i) {
+        if (i == resetAt) {
+            cache.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(cache.probe(stream[i]), ref.probe(stream[i]))
+            << "access " << i << " addr " << stream[i];
+        ASSERT_TRUE(sameStats(cache.stats(), ref.stats()))
+            << "after access " << i << " (cache/reference)";
+    }
+    EXPECT_GT(cache.stats().evictions, 0u) << "stream too small to evict";
+    cache.stats().checkConsistent();
+}
+
+TEST(CacheReference, SetAssociative)
+{
+    for (int assoc : {1, 2, 4}) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        expectMatchesReference(tinyCache(4096, assoc, 32),
+                               randomStream(assoc, 20000, 0x10000, 16384));
+    }
+}
+
+TEST(CacheReference, FullyAssociative)
+{
+    for (int assoc : {256, 512}) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc));
+        expectMatchesReference(tinyCache(assoc * 32, assoc, 32),
+                               randomStream(assoc, 20000, 0, assoc * 128));
+    }
+}
+
+TEST(CacheReference, OneByteLinesNearTopOfAddressSpace)
+{
+    // Line ids are whole addresses; the stream ends at UINT64_MAX and a
+    // second region wraps around to the bottom of the address space.
+    const uint64_t span = 4096;
+    const uint64_t top = std::numeric_limits<uint64_t>::max() - span + 1;
+    expectMatchesReference(tinyCache(256, 2, 1),
+                           randomStream(7, 20000, top, span, span, 2));
+}
+
+TEST(CacheReference, FarApartLines)
+{
+    // Regions 2^40 lines apart: at most one of them can share a dense
+    // cold-line window with the first miss; the rest take the fallback.
+    const uint64_t stride = (uint64_t{1} << 40) * 32;
+    expectMatchesReference(tinyCache(4096, 4, 32),
+                           randomStream(11, 20000, 0x4000, 16384, stride, 3));
+}
+
+TEST(CacheReference, ResetMidStream)
+{
+    const uint64_t stride = (uint64_t{1} << 40) * 32;
+    expectMatchesReference(tinyCache(4096, 2, 32),
+                           randomStream(13, 20000, 0x4000, 16384, stride, 2),
+                           7919);
 }
 
 /** Property: at fixed size and line, higher associativity never turns a
