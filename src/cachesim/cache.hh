@@ -61,14 +61,22 @@ struct CacheStats
     void checkConsistent() const;
 };
 
-/** A single-level set-associative LRU cache. */
+/**
+ * A single-level set-associative LRU cache.
+ *
+ * Flat layout: one tag array of numSets x associativity line ids, each
+ * set kept in MRU-first order with a per-set fill count, so the valid
+ * ways are a prefix and a repeat touch of the MRU line costs one
+ * compare. The set index is a shift and a mask. Cold misses come from
+ * a bitmap over line ids that grows to cover the touched span (up to
+ * kColdWindowWords words); lines beyond that window go to a hash set.
+ */
 class Cache
 {
   public:
     explicit Cache(CacheConfig config);
 
-    /** One scalar access of `size` bytes at virtual address `addr`:
-     *  probe() plus optional trace sampling. */
+    /** One scalar access of `size` bytes at virtual address `addr`. */
     void access(uint64_t addr, int size, bool isWrite);
 
     /** Probe one address; returns true on hit. Updates LRU state. */
@@ -80,32 +88,28 @@ class Cache
     /** Empty the cache and zero the statistics. */
     void reset();
 
-    /**
-     * Emit every `period`-th access as a `cachesim/access` trace event
-     * (0 disables, the default). Events only fire while a trace sink is
-     * installed, so sampling can stay configured at zero run cost.
-     */
-    void setAccessTraceSampling(uint64_t period) { samplePeriod_ = period; }
-
     /** Add this cache's counters into the process stats registry under
      *  `prefix` (e.g. "cachesim"). */
     void publishStats(const std::string &prefix = "cachesim") const;
 
   private:
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** Largest cold-line bitmap, in 64-line words (2^24 lines, 2MB). */
+    static constexpr uint64_t kColdWindowWords = uint64_t{1} << 18;
+
+    /** Record a miss on `line`; true if it was never missed before. */
+    bool firstTouch(uint64_t line);
 
     CacheConfig config_;
     CacheStats stats_;
-    std::vector<Way> ways_;  ///< numSets x associativity, row-major
-    std::unordered_set<uint64_t> touchedLines_;
-    uint64_t clock_ = 0;
     int lineShift_ = 0;
-    uint64_t samplePeriod_ = 0;
+    uint64_t setMask_ = 0;
+    uint32_t assoc_ = 0;
+    std::vector<uint64_t> tags_;  ///< numSets x assoc, each set MRU first
+    std::vector<uint32_t> fill_;  ///< valid (prefix) ways per set
+    /** Bit i of coldBits_[w] is line 64 * (coldBaseWord_ + w) + i. */
+    std::vector<uint64_t> coldBits_;
+    uint64_t coldBaseWord_ = 0;
+    std::unordered_set<uint64_t> coldFar_;  ///< lines outside the bitmap
 };
 
 } // namespace memoria
