@@ -4,10 +4,9 @@
  *
  * The paper's Table 4 evaluates every program against two cache
  * geometries; the batch driver and the compile service re-simulate the
- * same access stream per configuration. Re-running the interpreter is
- * the expensive part — the cache model itself is cheap — so this layer
- * consumes the reference stream **once** and feeds N set-associative
- * caches in lockstep, plus an optional reuse-distance analyzer that
+ * same access stream per configuration. This layer consumes the
+ * reference stream **once** and feeds N set-associative caches in
+ * lockstep, plus an optional reuse-distance analyzer that
  * answers hit rates for *all* fully-associative capacities from the
  * same pass (cachesim/reuse.hh; cf. Fauzia et al., "Beyond Reuse
  * Distance Analysis").
@@ -20,6 +19,12 @@
  * the sweep's counters bitwise-identical to standalone per-config
  * simulations (asserted in tests/test_cachesim.cc against a recorded
  * stream fed one Cache::access at a time).
+ *
+ * Probing is not cheap next to interpretation: on the sim_large
+ * benchmark (i860 + RS/6000) the two caches take 0.57 of pipeline time
+ * to the interpreter's 0.42, about 13 ns per access, even with
+ * `Cache`'s flat MRU-ordered tag arrays and cold-line bitmap
+ * (cachesim/cache.hh; numbers in docs/PERFORMANCE.md).
  */
 
 #ifndef MEMORIA_CACHESIM_SWEEP_HH
