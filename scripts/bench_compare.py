@@ -5,12 +5,17 @@ Usage:
     bench_compare.py BASELINE.json PR.json [--max-regress PCT]
                      [--min-speedup NAME:FACTOR ...]
 
-Work counters (accesses, interpreter passes, iterations, ...) are
-deterministic, so a counter that grows beyond the allowance is a hard
-failure — it means an algorithmic regression (e.g. the sweep fell back
-to one interpreter pass per config). Wall-clock medians are noisy on
-shared CI runners, so time regressions only emit GitHub warning
-annotations; they never fail the job.
+Work counters (accesses, misses, interpreter passes, iterations, ...)
+are deterministic: two `memoria bench --json` runs with different
+--reps give the same value for every counter, and so do a traced and
+an untraced run. So a counter must equal its baseline exactly; a change
+in either direction is a hard failure. More work is an algorithmic
+regression (e.g. the sweep fell back to one interpreter pass per
+config); less work, or fewer misses, means the benchmark or the
+simulator changed what it computes. Either way the baseline is
+refreshed on purpose, not absorbed by an allowance. Wall-clock medians
+are noisy on shared CI runners, so time regressions only emit GitHub
+warning annotations; they never fail the job.
 
 --min-speedup NAME:FACTOR asserts the PR median wall time for NAME is
 at least FACTOR times faster than the baseline's. Unlike plain time
@@ -18,7 +23,7 @@ comparisons it IS a hard gate: it is only used against a deliberately
 preserved pre-optimization baseline where the expected margin (e.g.
 5x against a 3x floor) dwarfs runner noise.
 
-Exit status: 0 = clean or time-warnings only; 1 = counter regression,
+Exit status: 0 = clean or time-warnings only; 1 = counter mismatch,
 unmet --min-speedup floor, missing benchmark, or malformed report.
 """
 
@@ -52,8 +57,8 @@ def main():
         type=float,
         default=25.0,
         metavar="PCT",
-        help="allowed growth in % for counters and the time-warning "
-        "threshold (default: 25)",
+        help="median wall-time growth in %% that triggers a warning "
+        "(default: 25); counters are compared exactly",
     )
     ap.add_argument(
         "--min-speedup",
@@ -95,16 +100,10 @@ def main():
             if pval is None:
                 failures.append(f"{name}: counter '{counter}' missing")
                 continue
-            if bval > 0 and pval > bval * allow:
+            if pval != bval:
                 failures.append(
-                    f"{name}: counter '{counter}' regressed "
-                    f"{bval} -> {pval} "
-                    f"(+{(pval / bval - 1) * 100:.1f}%, "
-                    f"allowed +{args.max_regress:.0f}%)"
-                )
-            elif bval == 0 and pval > 0:
-                failures.append(
-                    f"{name}: counter '{counter}' regressed 0 -> {pval}"
+                    f"{name}: counter '{counter}' changed "
+                    f"{bval} -> {pval} (counters must match exactly)"
                 )
 
         bms = b.get("wall_ms", {}).get("median")

@@ -78,6 +78,12 @@ Cache::Cache(CacheConfig config) : config_(std::move(config))
     assoc_ = static_cast<uint32_t>(config_.associativity);
     tags_.assign(sets * assoc_, 0);
     fill_.assign(sets, 0);
+    // Reserve the whole bitmap window here, on the constructing
+    // thread: it is address space, not resident memory, until the
+    // bitmap grows into it. Growing it from a pipelined sweep's
+    // consumer thread (cachesim/sweep.hh) would allocate in that
+    // thread's own malloc arena, which keeps the memory once freed.
+    coldBits_.reserve(kColdWindowWords);
 }
 
 void

@@ -69,7 +69,8 @@ struct CacheStats
  * ways are a prefix and a repeat touch of the MRU line costs one
  * compare. The set index is a shift and a mask. Cold misses come from
  * a bitmap over line ids that grows to cover the touched span (up to
- * kColdWindowWords words); lines beyond that window go to a hash set.
+ * kColdWindowWords words, reserved at construction so probing never
+ * reallocates it); lines beyond that window go to a hash set.
  */
 class Cache
 {

@@ -23,7 +23,8 @@
  * per-program crash isolation, budgets, and the degradation ladder
  * (docs/ROBUSTNESS.md):
  *
- *   --all                  kernels + 35-program corpus + examples/*.mem
+ *   --all                  kernels + 35-program corpus + every .mem file
+ *                          in examples/
  *   --stdin                read program names / file paths from stdin
  *   --jobs N               worker threads (default: up to 4)
  *   --deadline-ms N        wall-clock budget per ladder attempt
