@@ -15,6 +15,7 @@
 #include "harness/fault.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
+#include "support/cores.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 #include "transform/compound.hh"
@@ -557,6 +558,8 @@ runBatch(const std::vector<BatchInput> &inputs, const BatchOptions &opts)
 
     std::atomic<size_t> next{0};
     auto work = [&]() {
+        // A sweep's consumer thread needs a core no worker holds.
+        cores::BusyScope busy;
         for (;;) {
             size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= inputs.size())

@@ -6,6 +6,7 @@
 
 #include "harness/fault.hh"
 #include "serve/snapshot.hh"
+#include "support/cores.hh"
 #include "support/json.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -194,6 +195,9 @@ Server::workerLoop()
         const double serviceStartUs = nowUs();
         Reply reply;
         try {
+            // Busy while serving, so a sweep's consumer thread only
+            // takes a core no request is using (support/cores.hh).
+            cores::BusyScope busy;
             reply = process(seq, job, start);
         } catch (...) {
             // process() contains everything below it; this is the
