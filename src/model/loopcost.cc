@@ -29,6 +29,8 @@ NestAnalysis::NestAnalysis(const Program &prog, Node *root,
     : prog_(prog), params_(params), root_(root),
       graph_(prog, collectStmts(root)), tripModel_(prog, params)
 {
+    static obs::Counter &cAnalyses = obs::counter("model.nest_analyses");
+    ++cAnalyses;
     for (Node *outer : outerLoops)
         tripModel_.addLoop(outer);
     loops_ = collectLoops(root_);
