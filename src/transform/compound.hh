@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ir/program.hh"
+#include "model/access.hh"
 #include "model/params.hh"
 #include "support/poly.hh"
 #include "transform/fuse.hh"
@@ -53,6 +54,15 @@ struct NestReport
     Poly origCost;
     Poly finalCost;
     Poly idealCost;
+
+    /**
+     * Table 5 access statistics of the nest before and after Compound,
+     * from the same analyses as the costs above. finalAccess covers the
+     * depth>=2 slots the nest occupies afterwards, before the final
+     * fusion pass.
+     */
+    AccessStats origAccess;
+    AccessStats finalAccess;
 };
 
 /**

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "driver/memoria.hh"
+#include "ir/builder.hh"
+#include "support/stats.hh"
 #include "suite/corpus.hh"
 #include "suite/kernels.hh"
 
@@ -50,6 +52,40 @@ TEST(Driver, OptimalProgramUntouched)
     EXPECT_TRUE(structurallyEqual(opt.original, opt.transformed));
     HitRates rates = simulateHitRates(opt, CacheConfig::i860());
     EXPECT_DOUBLE_EQ(rates.wholeOrig, rates.wholeFinal);
+}
+
+TEST(Driver, UnchangedNestsAreAnalysedOnce)
+{
+    // Two nests already in memory order whose headers differ, so
+    // neither Compound nor the final fusion pass touches them.
+    ProgramBuilder b("settled");
+    Var n = b.param("N", 16);
+    Arr a = b.array("A", {n, n});
+    Arr bm = b.array("B", {n, n});
+    Arr c = b.array("C", {n, n});
+    Var i = b.loopVar("I");
+    Var j = b.loopVar("J");
+    b.add(b.loop(j, 1, n,
+                 b.loop(i, 1, n, b.assign(a(i, j), bm(i, j) * 2.0))));
+    b.add(b.loop(j, 2, n,
+                 b.loop(i, 2, n,
+                        b.assign(c(i, j), a(Ix(i) - 1, j) +
+                                              a(i, Ix(j) - 1)))));
+    Program p = b.finish();
+
+    PipelineOptions opts;
+    opts.compound.verify = false;
+    opts.computeIdeal = false;
+    obs::Counter &analyses = obs::counter("model.nest_analyses");
+    uint64_t before = analyses.value();
+    OptimizedProgram opt = optimizeProgram(p, cls4(), opts);
+
+    EXPECT_EQ(analyses.value() - before, 2u);
+    EXPECT_FALSE(opt.anyChanged);
+    EXPECT_EQ(opt.report.nestsOrig, 2);
+    EXPECT_EQ(opt.accessFinal.unitGroups, opt.accessOrig.unitGroups);
+    EXPECT_EQ(opt.accessFinal.totalRefs(), opt.accessOrig.totalRefs());
+    EXPECT_EQ(opt.accessOrig.totalRefs(), 5);
 }
 
 TEST(Driver, IdealIgnoresLegality)
