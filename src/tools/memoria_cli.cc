@@ -313,14 +313,19 @@ cmdSimulate(Program prog)
 {
     ModelParams params;
     OptimizedProgram opt = optimizeProgram(prog, params);
+    // One sweep per program version gives both caches' hit rates and
+    // cycles.
+    const std::vector<CacheConfig> configs = {CacheConfig::rs6000(),
+                                              CacheConfig::i860()};
+    SweepResult before = runWithCaches(opt.original, configs);
+    SweepResult after = runWithCaches(opt.transformed, configs);
     TextTable t({"cache", "whole orig hit%", "whole final hit%",
                  "speedup"});
-    for (const CacheConfig &cfg :
-         {CacheConfig::rs6000(), CacheConfig::i860()}) {
-        HitRates r = simulateHitRates(opt, cfg);
-        Performance perf = simulatePerformance(opt, cfg);
-        t.addRow({cfg.name, TextTable::num(r.wholeOrig, 2),
-                  TextTable::num(r.wholeFinal, 2),
+    for (size_t i = 0; i < configs.size(); ++i) {
+        Performance perf{before.cycles[i], after.cycles[i]};
+        t.addRow({configs[i].name,
+                  TextTable::num(before.cache[i].hitRateWarm(), 2),
+                  TextTable::num(after.cache[i].hitRateWarm(), 2),
                   TextTable::num(perf.speedup(), 2)});
     }
     std::cout << t.str();
